@@ -17,13 +17,16 @@ This module provides two interchangeable implementations:
   readable reference and in cross-validation tests);
 * :class:`LBTChecker` / :func:`verify_2atomic` — the efficient variant from
   the Theorem 3.2 proof, using linked-list removal with an undo log and
-  iterative-deepening candidate exploration.
+  iterative-deepening candidate exploration.  A growing :class:`LBTChecker`
+  re-verifies a stream's prefix as it grows, re-running only the epochs the
+  new operations reach.
 
 Both produce an explicit witness total order on YES.
 """
 
 from __future__ import annotations
 
+import bisect
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.history import History
@@ -176,15 +179,7 @@ class _LinkedList:
         """Unlink node ``i`` and record the removal."""
         if self.removed[i]:
             return
-        p, nx = self.prev[i], self.next[i]
-        if p != -1:
-            self.next[p] = nx
-        else:
-            self.head = nx
-        if nx != -1:
-            self.prev[nx] = p
-        else:
-            self.tail = p
+        self.detach(i)
         self.removed[i] = True
         self.log.append(i)
 
@@ -202,6 +197,40 @@ class _LinkedList:
             else:
                 self.tail = i
             self.removed[i] = False
+
+    def attach(self, i: int, after: int) -> None:
+        """Link node ``i`` right after node ``after`` (``-1``: at the head).
+
+        ``i == len(self.removed)`` appends a new node.  Unlogged: only valid
+        while nothing is removed, which is how a growing checker inserts.
+        """
+        if i == len(self.removed):
+            self.prev.append(-1)
+            self.next.append(-1)
+            self.removed.append(False)
+        nx = self.head if after == -1 else self.next[after]
+        self.prev[i] = after
+        self.next[i] = nx
+        if after == -1:
+            self.head = i
+        else:
+            self.next[after] = i
+        if nx == -1:
+            self.tail = i
+        else:
+            self.prev[nx] = i
+
+    def detach(self, i: int) -> None:
+        """Unlink node ``i``; unlike :meth:`remove`, nothing is logged."""
+        p, nx = self.prev[i], self.next[i]
+        if p != -1:
+            self.next[p] = nx
+        else:
+            self.head = nx
+        if nx != -1:
+            self.prev[nx] = p
+        else:
+            self.tail = p
 
     def mark(self) -> int:
         """Return the current undo-log position."""
@@ -227,18 +256,31 @@ class LBTChecker:
     * candidates of an epoch are explored with iterative deepening (budget
       doubling), so the cost of an epoch is O(c · t) where ``t`` is the cost
       of the cheapest successful candidate.
+
+    Built without a history the checker *grows*: :meth:`add` and
+    :meth:`replace` feed it a normalised prefix one operation at a time, and
+    :meth:`verify` may run after any of them.  This is the incremental 2-AV
+    checker's re-check; the epoch-boundary ledger described under
+    :meth:`verify` makes each re-check cost about what the new operations
+    cost.
     """
 
-    def __init__(self, history: History, *, kernel: Optional[str] = None):
+    def __init__(self, history: Optional[History] = None, *, kernel: Optional[str] = None):
+        self.history = history
+        self.stats = {"epochs": 0, "candidates_tried": 0, "deepening_rounds": 0}
+        # Container order: node ids are start-time ranks in a batch checker,
+        # admission order (sorted by start on demand) in a growing one.
+        self._order = None
+        if history is None:
+            self._init_growing()
+            return
         from ..core import vector
 
-        self.history = history
         # Operations sorted by start time define the H linked list.  The hot
         # loops below never touch the Operation objects themselves: all
         # per-operation state is pre-extracted into parallel index columns so
         # the suffix walks are array lookups, not attribute chases.
         self.ops: List[Operation] = list(history.operations)
-        self.h_index: Dict[Operation, int] = {op: i for i, op in enumerate(self.ops)}
         self.H = _LinkedList(len(self.ops))
         if vector.resolve_kernel(kernel, None) == "numpy" and self.ops:
             # Vectorized setup: the same columns, built with array ops
@@ -252,33 +294,117 @@ class LBTChecker:
             self.w_finishes = cols["w_finishes"]
             self.dictated_of_w = cols["dictated_of_w"]
             self.dictating_w_of_h = cols["dictating_w_of_h"]
-            self.w_index = {w: i for i, w in enumerate(self.writes)}
             self.W = _LinkedList(len(self.writes))
-            self.stats = {"epochs": 0, "candidates_tried": 0, "deepening_rounds": 0}
             return
+        h_index: Dict[Operation, int] = {op: i for i, op in enumerate(self.ops)}
         self.h_starts: List[float] = [op.start for op in self.ops]
         self.h_is_write: List[bool] = [op.is_write for op in self.ops]
         # Writes sorted by finish time define the W linked list.
         self.writes: List[Operation] = sorted(
             history.writes, key=lambda w: (w.finish, w.op_id)
         )
-        self.w_index: Dict[Operation, int] = {w: i for i, w in enumerate(self.writes)}
         self.W = _LinkedList(len(self.writes))
         self.w_starts: List[float] = [w.start for w in self.writes]
         self.w_finishes: List[float] = [w.finish for w in self.writes]
         # Cross map between the two index spaces.
-        self.h_of_w: List[int] = [self.h_index[w] for w in self.writes]
+        self.h_of_w: List[int] = [h_index[w] for w in self.writes]
         # Dictated reads of each write (by W index), as H indices; and for
         # each read, the W index of its dictating write.
         self.dictated_of_w: List[List[int]] = [
-            [self.h_index[r] for r in history.dictated_reads(w)] for w in self.writes
+            [h_index[r] for r in history.dictated_reads(w)] for w in self.writes
         ]
         dictating_w = [-1] * len(self.ops)
         for wi, read_indices in enumerate(self.dictated_of_w):
             for hi in read_indices:
                 dictating_w[hi] = wi
         self.dictating_w_of_h: List[int] = dictating_w
-        self.stats = {"epochs": 0, "candidates_tried": 0, "deepening_rounds": 0}
+
+    # ------------------------------------------------------------------
+    # Growing checker: one register's normalised prefix, re-verified as it
+    # grows (the incremental 2-AV checker's authoritative re-check)
+    # ------------------------------------------------------------------
+    def _init_growing(self) -> None:
+        self.ops = []
+        self.writes = []
+        self.h_starts = []
+        self.h_is_write = []
+        self.dictating_w_of_h = []
+        self.h_of_w = []
+        self.w_starts = []
+        self.w_finishes = []
+        self.dictated_of_w = []
+        self.H = _LinkedList(0)
+        self.W = _LinkedList(0)
+        self._order = self.h_starts.__getitem__
+        # Sorted insertion keys: H by start, W by (finish, op_id).
+        self._h_keys: List[float] = []
+        self._h_nodes: List[int] = []
+        self._w_keys: List[Tuple[float, int]] = []
+        self._w_nodes: List[int] = []
+        self._w_of_value: Dict[object, int] = {}
+        self._forget_run()
+
+    def _forget_run(self) -> None:
+        """Drop the epoch-boundary ledger: the next run starts from scratch."""
+        self._witness: List[Operation] = []
+        self._starts: List[int] = [0]
+        self._before: List[Tuple[int, int, int]] = [(0, 0, 0)]
+        self._front: List[int] = [-1] * len(self.ops)
+        self._dirty: Set[int] = set(range(len(self.ops)))
+
+    def add(self, op: Operation) -> None:
+        """Append one normalised operation to a growing checker.
+
+        The growing checker requires what normalisation guarantees, and
+        trusts its caller for it: all timestamps distinct, every read added
+        after its dictating write and never preceding it, and each write's
+        finish before its dictated reads' (use :meth:`replace` to shorten a
+        write when an earlier-finishing read arrives).
+        """
+        h = len(self.ops)
+        self.ops.append(op)
+        self.h_starts.append(op.start)
+        self.h_is_write.append(op.is_write)
+        if op.is_write:
+            wi = len(self.writes)
+            self._w_of_value[op.value] = wi
+            self.writes.append(op)
+            self.h_of_w.append(h)
+            self.w_starts.append(op.start)
+            self.w_finishes.append(op.finish)
+            self.dictated_of_w.append([])
+            self._link_w(wi)
+            self.dictating_w_of_h.append(-1)
+        else:
+            wi = self._w_of_value[op.value]
+            self.dictated_of_w[wi].append(h)
+            self.dictating_w_of_h.append(wi)
+        p = bisect.bisect_left(self._h_keys, op.start)
+        self.H.attach(h, self._h_nodes[p - 1] if p else -1)
+        self._h_keys.insert(p, op.start)
+        self._h_nodes.insert(p, h)
+        self._front.append(-1)
+        self._dirty.add(h)
+
+    def replace(self, write: Operation) -> None:
+        """Swap in a re-normalised copy of an added write (a new finish)."""
+        wi = self._w_of_value[write.value]
+        h = self.h_of_w[wi]
+        p = bisect.bisect_left(self._w_keys, (self.w_finishes[wi], self.writes[wi].op_id))
+        del self._w_keys[p]
+        del self._w_nodes[p]
+        self.W.detach(wi)
+        self.ops[h] = self.writes[wi] = write
+        self.w_finishes[wi] = write.finish
+        self._link_w(wi)
+        self._dirty.add(h)
+
+    def _link_w(self, wi: int) -> None:
+        key = (self.w_finishes[wi], self.writes[wi].op_id)
+        p = bisect.bisect_left(self._w_keys, key)
+        self.W.attach(wi, self._w_nodes[p - 1] if p else -1)
+        self._w_keys.insert(p, key)
+        self._w_nodes.insert(p, wi)
 
     # ------------------------------------------------------------------
     def _candidate_indices(self) -> List[int]:
@@ -371,7 +497,7 @@ class LBTChecker:
             self.H.remove(w_h)
             self.W.remove(wi)
             steps += 1
-            container.sort()
+            container.sort(key=self._order)
             segments.append([w_h] + container)
             if budget is not None and steps > budget:
                 return "budget", segments, (h_mark, w_mark)
@@ -381,37 +507,121 @@ class LBTChecker:
 
     # ------------------------------------------------------------------
     def verify(self) -> VerificationResult:
-        """Run LBT to completion and return the verdict with a witness."""
+        """Run LBT to completion and return the verdict with a witness.
+
+        A growing checker (built with no history, fed by :meth:`add` and
+        :meth:`replace`) re-verifies its whole prefix on every call, but
+        keeps an *epoch-boundary ledger* of its previous YES run: the
+        witness, where each epoch starts in it, the cumulative stats at each
+        boundary, and the epoch every operation was placed in.  Every epoch
+        places whole clusters (a read lands in its dictating write's epoch),
+        and from a given set of remaining operations the rest of the run is
+        determined by that set alone.  So once this run has placed every
+        operation added or re-normalised since the previous run, and the old
+        operations it placed are exactly the previous run's first ``j``
+        epochs, the remaining set — and hence the rest of the run — equals
+        the previous run's after ``j`` epochs: its witness front and stats
+        delta are spliced in instead of being recomputed.  The result equals
+        a fresh batch run's field for field.
+        """
         history = self.history
-        if history.is_empty:
+        growing = history is None
+        if growing:
+            if not self.ops:
+                return VerificationResult.yes(2, _ALGORITHM, witness=())
+            self.stats = {"epochs": 0, "candidates_tried": 0, "deepening_rounds": 0}
+            front, dirty, starts = self._front, self._dirty, self._starts
+            boundary = len(starts) - 1  # earliest previous-run epoch re-placed
+            dirty_left = len(dirty)
+            old_placed = 0
+            old_total = len(self._witness)
+            deltas: List[Tuple[int, int, int]] = []
+        elif history.is_empty:
             return VerificationResult.yes(2, _ALGORITHM, witness=())
-        if has_anomalies(history):
+        elif has_anomalies(history):
             return VerificationResult.no(
                 2, _ALGORITHM, reason="history contains Section II-C anomalies"
             )
-        witness_suffix: List[int] = []
+        stats = self.stats
+        epochs: List[List[int]] = []  # in placement order: latest first
         while not self.H.is_empty():
-            self.stats["epochs"] += 1
+            tried, rounds = stats["candidates_tried"], stats["deepening_rounds"]
+            stats["epochs"] += 1
             candidates = self._candidate_indices()
             outcome_segments = self._explore_candidates(candidates)
             if outcome_segments is None:
+                if growing:
+                    self._end_run()
+                    self._forget_run()
                 return VerificationResult.no(
                     2,
                     _ALGORITHM,
                     reason=f"all {len(candidates)} epoch candidates failed",
-                    stats=dict(self.stats),
+                    stats=dict(stats),
                 )
-            epoch_ops: List[int] = []
-            for segment in reversed(outcome_segments):
-                epoch_ops.extend(segment)
-            witness_suffix = epoch_ops + witness_suffix
+            epoch = [i for segment in reversed(outcome_segments) for i in segment]
+            epochs.append(epoch)
+            if growing:
+                deltas.append(
+                    (1, stats["candidates_tried"] - tried, stats["deepening_rounds"] - rounds)
+                )
+                for h in epoch:
+                    if h in dirty:
+                        dirty_left -= 1
+                    f = front[h]
+                    if f >= 0:
+                        old_placed += 1
+                        if f < boundary:
+                            boundary = f
+                if dirty_left == 0 and old_placed == old_total - starts[boundary]:
+                    return self._splice(epochs, deltas, boundary)
         ops = self.ops
         return VerificationResult.yes(
             2,
             _ALGORITHM,
-            witness=[ops[i] for i in witness_suffix],
-            stats=dict(self.stats),
+            witness=[ops[i] for epoch in reversed(epochs) for i in epoch],
+            stats=dict(stats),
         )
+
+    def _splice(
+        self,
+        epochs: List[List[int]],
+        deltas: List[Tuple[int, int, int]],
+        boundary: int,
+    ) -> VerificationResult:
+        """Close a growing run on the previous run's epochs before ``boundary``.
+
+        Those epochs keep their ledger entries (numbered from the witness
+        front); this run's epochs take the numbers from ``boundary`` on.
+        """
+        ops, front = self.ops, self._front
+        witness = self._witness[: self._starts[boundary]]
+        starts = self._starts[: boundary + 1]
+        before = self._before[: boundary + 1]
+        for number, (epoch, delta) in enumerate(
+            zip(reversed(epochs), reversed(deltas)), start=boundary
+        ):
+            for h in epoch:
+                front[h] = number
+            witness.extend([ops[h] for h in epoch])
+            starts.append(len(witness))
+            e, c, r = before[-1]
+            before.append((e + delta[0], c + delta[1], r + delta[2]))
+        self._witness, self._starts, self._before = witness, starts, before
+        self._dirty = set()
+        self._end_run()
+        epochs_run, tried, rounds = before[-1]
+        self.stats = {
+            "epochs": epochs_run,
+            "candidates_tried": tried,
+            "deepening_rounds": rounds,
+        }
+        return VerificationResult.yes(2, _ALGORITHM, witness=witness, stats=self.stats)
+
+    def _end_run(self) -> None:
+        """Put every removed node back, ready for more :meth:`add` calls."""
+        self.H.undo_to(0)
+        self.W.undo_to(0)
 
     def _explore_candidates(
         self, candidates: Sequence[int]

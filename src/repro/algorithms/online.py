@@ -24,9 +24,11 @@ only the resolved, dictating-closed prefix.  :meth:`Checker.finish` folds the
 still-pending reads back in (where they surface as Section II-C anomalies if
 their writes truly never arrived) and delegates to the batch algorithm over
 the complete buffered history, so the final verdict of an incremental checker
-is *identical* to its batch counterpart's by construction.
+is *identical* to its batch counterpart's by construction — a NO latched
+mid-stream included: operations keep being buffered after the latch, so the
+final reason is the whole stream's, not the latched prefix's.
 
-Two cost controls keep the per-operation work low:
+Three cost controls keep the per-operation work low:
 
 * **geometric check cadence** — authoritative re-checks run when the resolved
   prefix reaches geometrically spaced sizes (doubling by default), so the
@@ -37,9 +39,14 @@ Two cost controls keep the per-operation work low:
   the cluster/zone state in O(1) per operation and an ordered forward-zone
   index in O(log n); when the raw-zone state trips a GK condition the checker
   confirms immediately with an authoritative check instead of waiting for the
-  next cadence point.  No analogous incremental formulation of LBT is known
-  (it places operations back to front), so :class:`IncrementalLBTChecker`
-  relies on cadence re-checks from its buffer alone.
+  next cadence point;
+* **incremental re-check** (LBT) — LBT places operations back to front in
+  epochs, and consecutive checks of a stream share all but the last few.
+  :class:`IncrementalLBTChecker` keeps the normalised prefix and a growing
+  :class:`~repro.algorithms.lbt.LBTChecker` across checks, re-runs only the
+  epochs the new operations reach and splices the rest from the previous
+  run, so a re-check — a check per window included — costs about what the
+  new operations cost, and still equals batch LBT field for field.
 
 Memory is O(n) — the buffer must be retained for exact batch parity.  The
 bounded-memory alternative is the *windowed* mode of
@@ -49,9 +56,11 @@ Checkers are also **checkpointable**: :meth:`Checker.snapshot` captures the
 complete internal state (buffers, cadence position, latched verdicts, monitor
 indexes) as one picklable object and :meth:`Checker.restore` rehydrates it, so
 a long-running audit service can persist sessions to disk and resume them
-after a crash with a verdict stream *identical* to an uninterrupted run — the
-monitor state is saved verbatim rather than rebuilt by replay, so even the
-eager-check timing of :class:`IncrementalGKChecker` survives the round trip.
+after a crash with a verdict stream *identical* to an uninterrupted run.  The
+GK monitor state is saved verbatim rather than rebuilt by replay, so even the
+eager-check timing of :class:`IncrementalGKChecker` survives the round trip;
+the LBT checker's admission state and epoch ledger only speed checks up and
+are rebuilt from the buffer instead of being saved.
 """
 
 from __future__ import annotations
@@ -59,13 +68,14 @@ from __future__ import annotations
 import bisect
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from ..core.errors import DuplicateValueError, HistoryError, VerificationError
 from ..core.history import History
 from ..core.operation import Operation
+from ..core.preprocess import shortened_finish
 from ..core.result import StreamVerdict, VerificationResult
+from .lbt import LBTChecker
 
 __all__ = [
     "Checker",
@@ -265,8 +275,6 @@ class RecheckChecker(Checker):
                     "streams with the streaming engine"
                 )
         self._ops_seen += 1
-        if self._latched is not None:
-            return None
         monitor_hit = False
         if op.is_write:
             if op.value in self._written:
@@ -287,7 +295,9 @@ class RecheckChecker(Checker):
             monitor_hit |= self._monitor(op)
         else:
             self._pending.setdefault(op.value, []).append(op)
-        if monitor_hit or len(self._resolved) >= self._next_check:
+        if self._latched is None and (
+            monitor_hit or len(self._resolved) >= self._next_check
+        ):
             return self._run_check()
         return None
 
@@ -312,11 +322,11 @@ class RecheckChecker(Checker):
 
         Pending reads are folded back into the history, where the batch
         preprocessing reports them as Section II-C anomalies if their
-        dictating writes truly never arrived.
+        dictating writes truly never arrived.  A latched NO stays NO, but
+        its reason and stats come from the whole stream, as batch
+        verification's do, not from the prefix that latched.
         """
         self._finished = True
-        if self._latched is not None:
-            return self._latched.result
         ops = list(self._resolved)
         for reads in self._pending.values():
             ops.extend(reads)
@@ -426,9 +436,13 @@ class RecheckChecker(Checker):
             **kwargs,
         )
 
+    def _verify_resolved(self) -> VerificationResult:
+        """Subclass hook: verify the resolved prefix, batch-equal."""
+        return self._batch_verify(self._resolved)
+
     def _run_check(self) -> StreamVerdict:
         self._checks_run += 1
-        result = self._batch_verify(self._resolved)
+        result = self._verify_resolved()
         verdict = StreamVerdict(
             result=result, ops_seen=self._ops_seen, final=not result
         )
@@ -599,12 +613,32 @@ class IncrementalGKChecker(RecheckChecker):
 class IncrementalLBTChecker(RecheckChecker):
     """Incremental 2-atomicity checking on top of LBT.
 
-    LBT constructs its total order *back to front* (Section III), so no true
-    incremental formulation is known — the checker maintains the cluster/zone
-    aggregates needed for cheap stream statistics, but every verdict comes
-    from re-running LBT on the buffered resolved prefix at geometrically
-    spaced checkpoints (amortised O(1) re-checks per operation).  NO verdicts
-    latch and are final; the finished verdict equals batch LBT exactly.
+    LBT builds its order back to front (Section III), so a new operation can
+    change every epoch in principle; in a stream it rarely changes more than
+    the last few.  With the default ``lbt`` delegate every re-check runs one
+    growing :class:`~repro.algorithms.lbt.LBTChecker` over the resolved
+    prefix, kept across checks:
+
+    * **normalisation from admission state** — as operations are admitted the
+      checker keeps each write's minimum dictated-read finish and the set of
+      raw and normalised timestamps, and watches for a read preceding its
+      dictating write.  While every timestamp is distinct both tie-breaking
+      passes of :func:`~repro.core.preprocess.normalize` are the identity, so
+      the normalised prefix is the buffer with shortened writes, updated in
+      place;
+    * **epoch splicing** — the growing checker re-runs LBT only until the
+      new operations are placed and the placed old ones line up with an
+      epoch boundary of its previous run, then splices that run's witness
+      front and stats (see :meth:`LBTChecker.verify`).
+
+    Each re-check therefore equals ``verify(History(prefix), 2,
+    algorithm="lbt", preprocess=True)`` field for field, at a cost that
+    tracks the new operations rather than the prefix.  Ties, an anomaly, or
+    any other delegate send checks down the batch path, as does
+    :meth:`finish`, which folds pending reads back in.  The admission state
+    is derived data: snapshots never carry it, and :meth:`restore` rebuilds
+    it from the buffer.  NO verdicts latch and are final; the finished
+    verdict equals batch LBT exactly.
     """
 
     def __init__(
@@ -622,45 +656,66 @@ class IncrementalLBTChecker(RecheckChecker):
         )
 
     def _reset_monitor(self) -> None:
-        self._write_ids: Dict[Hashable, int] = {}
-        self._clusters: Dict[int, Tuple[float, float]] = {}
-        self._max_write_finish = float("-inf")
-        self._concurrent_write_hint = 0
-
-    def _monitor_snapshot(self) -> dict:
-        return {
-            "write_ids": dict(self._write_ids),
-            "clusters": dict(self._clusters),
-            "max_write_finish": self._max_write_finish,
-            "concurrent_write_hint": self._concurrent_write_hint,
-        }
+        # ``None`` once the prefix needs the batch path (ties, an anomaly, a
+        # latched NO, or a delegate other than LBT); it never comes back.
+        self._lbt: Optional[LBTChecker] = LBTChecker() if self.algorithm == "lbt" else None
+        self._min_read_finish: Dict[Hashable, float] = {}
+        # Every raw and normalised timestamp seen.  Meeting one again means
+        # normalisation would (or, for a superseded shortened finish, might)
+        # break a tie, so the register takes the batch path.
+        self._times: Set[float] = set()
 
     def _restore_monitor(self, state: dict) -> None:
-        self._write_ids = dict(state["write_ids"])
-        self._clusters = {
-            write_id: tuple(zone) for write_id, zone in state["clusters"].items()
-        }
-        self._max_write_finish = state["max_write_finish"]
-        self._concurrent_write_hint = state["concurrent_write_hint"]
+        # Older snapshots carry a write-only monitor under "monitor"; the
+        # admission state replaces it and is rebuilt from the buffer.
+        self._reset_monitor()
+        if self._latched is not None:
+            self._lbt = None
+        for op in self._resolved:
+            if self._lbt is None:
+                break
+            self._track(op)
 
-    def _monitor(self, op: Operation) -> bool:
+    def _admit(self, op: Operation) -> None:
+        super()._admit(op)
+        if self._lbt is not None:
+            self._track(op)
+
+    def _track(self, op: Operation) -> None:
+        """Fold one admitted operation into the normalised growing prefix."""
+        times = self._times
+        for t in (op.start, op.finish):
+            if t in times:
+                self._lbt = None
+                return
+            times.add(t)
         if op.is_write:
-            self._write_ids[op.value] = op.op_id
-            self._clusters[op.op_id] = (op.finish, op.start)
-            # Streamed writes arrive roughly in completion order, so a write
-            # starting before the latest finish seen is concurrent with it —
-            # a running lower bound on the paper's ``c`` parameter.
-            if op.start < self._max_write_finish:
-                self._concurrent_write_hint += 1
-            self._max_write_finish = max(self._max_write_finish, op.finish)
-        else:
-            write_id = self._write_ids[op.value]
-            min_finish, max_start = self._clusters[write_id]
-            self._clusters[write_id] = (
-                min(min_finish, op.finish),
-                max(max_start, op.start),
-            )
-        return False
+            self._lbt.add(op)
+            return
+        write = self._written[op.value]
+        if op.precedes(write):
+            self._lbt = None  # a Section II-C anomaly
+            return
+        previous = self._min_read_finish.get(op.value)
+        if previous is None or op.finish < previous:
+            self._min_read_finish[op.value] = op.finish
+            old = write.finish if previous is None else shortened_finish(write, previous)
+            new = shortened_finish(write, op.finish)
+            if new != old:
+                if new in times:
+                    self._lbt = None
+                    return
+                times.add(new)
+                self._lbt.replace(write.with_times(finish=new))
+        self._lbt.add(op)
+
+    def _verify_resolved(self) -> VerificationResult:
+        if self._lbt is None:
+            return super()._verify_resolved()
+        result = self._lbt.verify()
+        if not result:
+            self._lbt = None  # latched: no more re-checks to speed up
+        return result
 
 
 def checker_for(

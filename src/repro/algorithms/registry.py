@@ -198,8 +198,8 @@ CHECKERS: Dict[str, CheckerSpec] = {
         supported_k=(2,),
         factory=IncrementalLBTChecker,
         batch_counterpart="lbt",
-        description="Incremental 2-AV by buffered LBT re-check at geometric "
-        "checkpoints (no true incremental LBT is known)",
+        description="Incremental 2-AV by LBT re-check at geometric checkpoints; "
+        "each re-check re-runs only the epochs new operations reach",
     ),
 }
 

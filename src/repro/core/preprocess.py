@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import AnomalyError
 from .history import History
@@ -30,6 +30,7 @@ __all__ = [
     "find_anomalies",
     "has_anomalies",
     "shorten_writes",
+    "shortened_finish",
     "perturb_equal_timestamps",
     "normalize",
 ]
@@ -116,26 +117,39 @@ def shorten_writes(history: History, *, epsilon: float = 1e-9) -> History:
         reads = history.dictated_reads(w)
         if not reads:
             continue
-        min_read_finish = min(r.finish for r in reads)
-        if w.finish < min_read_finish:
-            continue
-        new_finish = min_read_finish - epsilon
-        if new_finish <= w.start:
-            # Keep the write non-degenerate; place the finish just after the
-            # start but still before the read finish (possible because the
-            # read finishes after the write starts in anomaly-free input).
-            new_finish = w.start + (min_read_finish - w.start) / 2.0
-            if new_finish <= w.start:
-                # Degenerate borderline case: a dictated read finishes at (or
-                # numerically indistinguishably after) the write's start, so
-                # no positive-length shortening exists.  Leave the write as is
-                # and let the timestamp perturbation separate the tie.
-                continue
-        replacements[w] = w.with_times(finish=new_finish)
+        new_finish = shortened_finish(w, min(r.finish for r in reads), epsilon)
+        if new_finish != w.finish:
+            replacements[w] = w.with_times(finish=new_finish)
     if not replacements:
         return history
     ops = [replacements.get(op, op) for op in history.operations]
     return History(ops, key=history.key)
+
+
+def shortened_finish(
+    write: Operation, min_read_finish: float, epsilon: float = 1e-9
+) -> float:
+    """The finish :func:`shorten_writes` gives ``write`` (its own if kept).
+
+    ``min_read_finish`` is the minimum finish time of the write's dictated
+    reads.  Shared with the incremental 2-AV checker, which keeps that
+    minimum per write as reads arrive instead of re-normalising its buffer.
+    """
+    if write.finish < min_read_finish:
+        return write.finish
+    new_finish = min_read_finish - epsilon
+    if new_finish <= write.start:
+        # Keep the write non-degenerate; place the finish just after the
+        # start but still before the read finish (possible because the
+        # read finishes after the write starts in anomaly-free input).
+        new_finish = write.start + (min_read_finish - write.start) / 2.0
+        if new_finish <= write.start:
+            # Degenerate borderline case: a dictated read finishes at (or
+            # numerically indistinguishably after) the write's start, so
+            # no positive-length shortening exists.  Leave the write as is
+            # and let the timestamp perturbation separate the tie.
+            return write.finish
+    return new_finish
 
 
 def perturb_equal_timestamps(history: History, *, epsilon: float = 1e-9) -> History:
