@@ -17,8 +17,11 @@ buys end to end and doubles as a parity test:
   object reader vs :func:`repro.io.formats.load_columnar` (records →
   columns, no ``Operation`` objects) vs lazy ``.rcol`` memory-mapping
   (:class:`repro.io.rcol.RcolFile` — a footer parse plus zero-copy views);
-* **shard IPC payload** — pickled ``ShardTask`` object graphs vs the compact
-  column codec the process executor ships (:mod:`repro.engine.codec`).
+* **shard IPC payload** — both directions of a process-executor shard:
+  pickled ``ShardTask`` object graphs vs the compact column codec, and the
+  pickled object-path outcome vs the worker's column-encoded results
+  (witnesses as positions, :mod:`repro.engine.codec`), decoded and compared
+  field for field with the object path.
 
 Every timed verdict is cross-checked between the paths (verdict, reason,
 stats and witness validity), so a kernel divergence fails the run loudly.
@@ -29,7 +32,8 @@ Run with::
         [--registers N] [--repeat R] [--json PATH] [--check [--baseline PATH]]
 
 ``--check`` re-validates the recorded baseline invariants (parity, minimum
-columnar and vectorized speedups, payload reduction) at whatever size was run
+columnar and vectorized speedups, payload and result reduction with witness
+parity) at whatever size was run
 — CI runs it at a small size as a regression smoke test; the committed
 reference numbers live in ``benchmarks/results/bench_columnar.json``.
 """
@@ -56,7 +60,7 @@ from repro.core import vector
 from repro.core.api import verify
 from repro.core.history import History
 from repro.core.preprocess import normalize
-from repro.engine import Engine
+from repro.engine import Engine, run_shard
 from repro.io.formats import dump_jsonl, load_columnar, load_trace
 from repro.io.rcol import RcolFile, dump_rcol
 from repro.workloads.synthetic import practical_history, synthetic_trace
@@ -293,8 +297,24 @@ def bench_ingestion(num_registers, ops_per_register, repeat, seed, out):
     }
 
 
+def _result_fields(result):
+    witness = None
+    if result.witness is not None:
+        witness = [
+            (op.op_id, op.op_type, op.value, op.key, op.client, op.weight, op.start, op.finish)
+            for op in result.witness
+        ]
+    return (result.is_k_atomic, result.k, result.algorithm, result.reason, result.stats, witness)
+
+
 def bench_ipc_payload(num_registers, ops_per_register, seed, out):
-    """Shard payload bytes: pickled object graphs vs the column codec."""
+    """Shard bytes both ways: pickled object graphs vs the column codecs.
+
+    Tasks: pickled ``ShardTask`` vs its encoded form.  Results: the pickled
+    outcome of the object path vs the outcome a worker returns (results in
+    the result codec), whose host-side decode must equal the object path
+    field for field, witnesses included.
+    """
     rng = random.Random(seed)
     trace = synthetic_trace(rng, num_registers, ops_per_register)
     engine = Engine(executor="processes", jobs=2)
@@ -303,6 +323,19 @@ def bench_ipc_payload(num_registers, ops_per_register, seed, out):
     column_bytes = sum(
         len(pickle.dumps(t.encode(), pickle.HIGHEST_PROTOCOL)) for t in tasks
     )
+    result_object_bytes = result_column_bytes = witness_mismatches = 0
+    for task in tasks:
+        reference = run_shard(task)
+        outcome = run_shard(task.encode())
+        result_object_bytes += len(pickle.dumps(reference, pickle.HIGHEST_PROTOCOL))
+        result_column_bytes += len(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
+        decoded = dict(outcome.resolve(dict(task.items)).results)
+        witness_mismatches += sum(
+            _result_fields(decoded.get(key)) != _result_fields(result)
+            if key in decoded
+            else 1
+            for key, result in reference.results
+        )
     total_ops = trace.total_operations()
     print("", file=out)
     print(
@@ -312,11 +345,23 @@ def bench_ipc_payload(num_registers, ops_per_register, seed, out):
         f"{column_bytes / total_ops:.1f} B/op)",
         file=out,
     )
+    print(
+        f"process-executor shard results: pickled objects {result_object_bytes} B "
+        f"vs columns {result_column_bytes} B "
+        f"({result_object_bytes / result_column_bytes:.2f}x smaller, "
+        f"{result_column_bytes / total_ops:.1f} B/op), "
+        f"{witness_mismatches} registers differing from the object path",
+        file=out,
+    )
     return {
         "total_ops": total_ops,
         "object_bytes": object_bytes,
         "column_bytes": column_bytes,
         "reduction": round(object_bytes / column_bytes, 3),
+        "result_object_bytes": result_object_bytes,
+        "result_column_bytes": result_column_bytes,
+        "result_reduction": round(result_object_bytes / result_column_bytes, 3),
+        "result_mismatches": witness_mismatches,
     }
 
 
@@ -379,6 +424,16 @@ def run(sizes, num_registers, ops_per_register, repeat, seed, json_path, check,
                 f"column payload {ipc['column_bytes']} B is not smaller than "
                 f"pickled objects {ipc['object_bytes']} B"
             )
+        if ipc["result_column_bytes"] >= ipc["result_object_bytes"]:
+            failures.append(
+                f"column results {ipc['result_column_bytes']} B are not smaller "
+                f"than pickled results {ipc['result_object_bytes']} B"
+            )
+        if ipc["result_mismatches"]:
+            failures.append(
+                f"{ipc['result_mismatches']} registers' decoded results differ "
+                "from the object path (verdict, stats or witness)"
+            )
         print("", file=out)
         if failures:
             for failure in failures:
@@ -387,7 +442,8 @@ def run(sizes, num_registers, ops_per_register, repeat, seed, json_path, check,
         print(
             f"CHECK OK: parity held, columnar speedup {largest['speedup']:.2f}x "
             f"at {largest['ops']} ops (worst across sizes {worst:.2f}x), "
-            f"{numpy_note}, payload {ipc['reduction']:.2f}x smaller",
+            f"{numpy_note}, payload {ipc['reduction']:.2f}x smaller, "
+            f"results {ipc['result_reduction']:.2f}x smaller with witness parity",
             file=out,
         )
     return record, 0
@@ -409,7 +465,8 @@ def main(argv=None):
         "--check",
         action="store_true",
         help="fail (exit 1) when parity breaks, the largest-size speedup drops "
-        "below --check-min-speedup, or the column payload stops shrinking",
+        "below --check-min-speedup, or the column payload or results stop "
+        "shrinking",
     )
     parser.add_argument(
         "--check-min-speedup",

@@ -159,8 +159,14 @@ def perturb_equal_timestamps(history: History, *, epsilon: float = 1e-9) -> Hist
     contain ties because of coarse clocks; this helper breaks ties by nudging
     later events forward by multiples of ``epsilon`` in a deterministic order
     (timestamp, then operation id, finishes before starts).  The perturbation
-    is strictly order-preserving for already-distinct timestamps.
+    is strictly order-preserving for already-distinct timestamps, and
+    a history whose timestamps are all distinct comes back unchanged.
     """
+    stamps = {op.start for op in history.operations}
+    stamps.update(op.finish for op in history.operations)
+    if len(stamps) == 2 * len(history.operations):
+        # Set membership, as in the loop below, which would nudge nothing.
+        return history
     events: List[Tuple[float, int, int, Operation, str]] = []
     for op in history.operations:
         events.append((op.start, 0, op.op_id, op, "start"))

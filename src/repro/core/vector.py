@@ -31,14 +31,17 @@ for ``kernel="numpy"`` explicitly raises.
 
 The module also provides the kernel-level entry point
 :func:`verify_columnar`, which verifies a :class:`ColumnarHistory` *without
-materialising Operation objects* — the hot path of the out-of-core ``.rcol``
-backend (:mod:`repro.io.rcol`), including a vectorized replica of the
-Section II-C normalisation.
+materialising Operation objects* — the hot path of the engine's process
+workers and of the out-of-core ``.rcol`` backend (:mod:`repro.io.rcol`),
+including a vectorized replica of the Section II-C normalisation.
+:func:`columnar_verdict` is the same call with a YES witness left as
+positions (:class:`ColumnarVerdict`), for callers that ship it elsewhere.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Tuple
+import dataclasses
+from typing import Any, Dict, Hashable, List, NamedTuple, Optional, Tuple
 
 try:  # pragma: no cover - exercised via both branches in CI matrices
     import numpy as np
@@ -69,6 +72,8 @@ __all__ = [
     "fzf_result_np",
     "lbt_setup",
     "columnar_from_numpy",
+    "ColumnarVerdict",
+    "columnar_verdict",
     "verify_columnar",
 ]
 
@@ -802,6 +807,49 @@ def gk_result_np(col) -> VerificationResult:
     )
 
 
+class ColumnarVerdict(NamedTuple):
+    """A verdict over an encoding whose YES witness may still be positions.
+
+    When ``positions`` is set, ``result.witness`` is ``None`` and the witness
+    is ``times.operations(positions)``: ``positions`` is an ``int32`` array of
+    positions into the register's canonical order, and ``times`` is the
+    normalised encoding carrying the witness operations' start/finish times.
+    The numpy path only runs on distinct timestamps, which normalisation never
+    reorders, so the positions index the unnormalised encoding as well.
+    """
+
+    result: VerificationResult
+    positions: Any = None
+    times: Any = None
+
+    def decoded(self) -> VerificationResult:
+        """The result with its witness decoded into operations."""
+        if self.positions is None:
+            return self.result
+        witness = self.times.operations(self.positions.tolist())
+        return dataclasses.replace(self.result, witness=tuple(witness))
+
+
+def _fzf_verdict(col) -> ColumnarVerdict:
+    """FZF over an encoding, the YES witness left as positions."""
+    if has_anomalies(col):
+        return ColumnarVerdict(
+            VerificationResult.no(
+                2, _FZF, reason="history contains Section II-C anomalies"
+            )
+        )
+    outcome = fzf_verdict_np(col)
+    if not outcome.ok:
+        return ColumnarVerdict(
+            VerificationResult.no(2, _FZF, reason=outcome.reason, stats=outcome.stats)
+        )
+    return ColumnarVerdict(
+        VerificationResult.yes(2, _FZF, witness=None, stats=outcome.stats),
+        np.asarray(outcome.witness, dtype=np.int32),
+        col,
+    )
+
+
 def fzf_result_np(col, *, decode_witness: bool = True) -> VerificationResult:
     """FZF verdict over an encoding (non-empty, not pre-normalised input).
 
@@ -809,23 +857,8 @@ def fzf_result_np(col, *, decode_witness: bool = True) -> VerificationResult:
     so multi-million-operation memmap-backed registers never materialise
     Operation objects; verdict, reason and stats are unaffected.
     """
-    if has_anomalies(col):
-        return VerificationResult.no(
-            2, _FZF, reason="history contains Section II-C anomalies"
-        )
-    outcome = fzf_verdict_np(col)
-    if not outcome.ok:
-        return VerificationResult.no(
-            2, _FZF, reason=outcome.reason, stats=outcome.stats
-        )
-    if not decode_witness:
-        return VerificationResult.yes(2, _FZF, witness=None, stats=outcome.stats)
-    return VerificationResult.yes(
-        2,
-        _FZF,
-        witness=col.operations(int(i) for i in outcome.witness),
-        stats=outcome.stats,
-    )
+    verdict = _fzf_verdict(col)
+    return verdict.decoded() if decode_witness else verdict.result
 
 
 # ----------------------------------------------------------------------
@@ -1095,26 +1128,53 @@ def verify_columnar(
     verdicts, reasons and stats for every input, with Operation objects
     decoded only where a result needs them (NO-reasons, anomaly
     descriptions, and — unless ``decode_witness=False`` — YES witnesses).
-    This is the engine's ingestion path for memmap-backed ``.rcol`` shards.
 
     Falls back to the materialised object path whenever exactness demands it:
     non-numpy kernels, timestamp ties during normalisation, and the
-    LBT/exact algorithms (``k >= 3``).
+    LBT/exact algorithms (``k >= 3``).  Those paths always decode their
+    witness.
+    """
+    verdict = columnar_verdict(
+        col,
+        k,
+        algorithm=algorithm,
+        preprocess=preprocess,
+        max_exact_ops=max_exact_ops,
+        kernel=kernel,
+    )
+    return verdict.decoded() if decode_witness else verdict.result
+
+
+def columnar_verdict(
+    col,
+    k: int,
+    *,
+    algorithm: str = "auto",
+    preprocess: bool = True,
+    max_exact_ops: int = 40,
+    kernel: Optional[str] = None,
+) -> ColumnarVerdict:
+    """:func:`verify_columnar` with a numpy-path YES witness kept as positions.
+
+    The engine's process workers ship those positions back to the host
+    instead of operations; every fallback returns its decoded result.
     """
     if k < 1:
         raise VerificationError(f"k must be a positive integer, got {k!r}")
     resolved = resolve_kernel(kernel, None)
 
-    def materialised(history_preprocess: bool):
+    def materialised(history_preprocess: bool) -> ColumnarVerdict:
         from .api import verify
 
-        return verify(
-            col.to_history(),
-            k,
-            algorithm=algorithm,
-            preprocess=history_preprocess,
-            max_exact_ops=max_exact_ops,
-            kernel=kernel,
+        return ColumnarVerdict(
+            verify(
+                col.to_history(),
+                k,
+                algorithm=algorithm,
+                preprocess=history_preprocess,
+                max_exact_ops=max_exact_ops,
+                kernel=kernel,
+            )
         )
 
     if resolved != "numpy" or col.n == 0:
@@ -1123,7 +1183,7 @@ def verify_columnar(
     if preprocess:
         anomalous = _anomaly_result_np(col, k)
         if anomalous is not None:
-            return anomalous
+            return ColumnarVerdict(anomalous)
         work = _normalized_columnar(col)
         if work is None:  # timestamp ties: sequential perturbation required
             return materialised(True)
@@ -1151,17 +1211,19 @@ def verify_columnar(
             f"it supports k in {tuple(spec.supported_k)}"
         )
     if spec.name == "gk":
-        return gk_result_np(work)
+        return ColumnarVerdict(gk_result_np(work))
     if spec.name == "fzf":
-        return fzf_result_np(work, decode_witness=decode_witness)
+        return _fzf_verdict(work)
     # LBT variants and the exact oracle need the object model; materialise
     # just this register (already normalised, so preprocessing is done).
     from .api import verify
 
-    return verify(
-        work.to_history(),
-        k,
-        algorithm=name,
-        preprocess=False,
-        max_exact_ops=max_exact_ops,
+    return ColumnarVerdict(
+        verify(
+            work.to_history(),
+            k,
+            algorithm=name,
+            preprocess=False,
+            max_exact_ops=max_exact_ops,
+        )
     )

@@ -1,40 +1,56 @@
-"""Compact binary codec for shard payloads crossing the process boundary.
+"""Compact binary codecs for shard work crossing the process boundary.
 
-The process-pool executor used to pickle whole ``ShardTask`` object graphs:
-every :class:`~repro.core.operation.Operation` became a pickled dataclass
-(type tag, per-field entries, memo bookkeeping), costing well over a hundred
-bytes per operation and a lot of pickler time on both sides.
+Both directions of a process-executor shard travel as *columns*, never as
+pickled :class:`~repro.core.operation.Operation` object graphs (well over a
+hundred bytes and a lot of pickler time per operation).
 
-This codec ships *columns* instead.  Each register history is converted to
+**Tasks** (:func:`encode_shard_items`).  Each register history is converted to
 its columnar encoding (:meth:`~repro.core.columnar.ColumnarHistory.to_columns`
 — raw ``array`` buffers plus the small interning side tables) and the whole
 shard is pickled as a flat list of those tuples: roughly 40–50 bytes per
-operation, with the per-operation Python object overhead gone entirely.  The
-worker rebuilds each history through the trusted constructors — skipping
-re-validation of invariants that held when the columns were produced — and
-the decoded history arrives with its columnar encoding already cached, so the
-verifier's fast path starts without re-encoding.
+operation.  The worker verifies each register straight from those columns
+(:meth:`~repro.core.columnar.ColumnarHistory.from_columns` and
+:func:`repro.core.vector.columnar_verdict`); it builds no ``History`` and
+decodes no operation on the numpy YES path.
+
+**Results** (:func:`encode_shard_results`).  Verdict, algorithm, reason and
+stats travel as plain values; a YES witness travels as an ``int32`` array of
+positions into the register's canonical order, plus the normalised start and
+finish times of the positions that normalisation moved.  A fallback result
+whose witness the worker did decode (timestamp ties, LBT, the exact oracle,
+non-numpy kernels) is encoded the same way, by op id → position.  The host
+holds every register's :class:`~repro.core.history.History` and rebuilds each
+witness from those operations (:func:`decode_shard_results`), with copies
+carrying the moved times: about 4 bytes per witness operation instead of a
+pickled operation.
 """
 
 from __future__ import annotations
 
 import pickle
 from array import array
-from typing import Hashable, List, Sequence, Tuple
+from typing import Any, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.columnar import ColumnarHistory, columnar_of
 from ..core.history import History
 from ..core.operation import Operation, OpType, trusted_operation
+from ..core.result import VerificationResult
 
 __all__ = [
     "encode_shard_items",
     "decode_shard_items",
+    "decode_shard_columns",
+    "encode_shard_results",
+    "decode_shard_results",
     "encode_feed_batches",
     "decode_feed_batches",
 ]
 
 #: Bump when the column layout changes incompatibly.
 _CODEC_VERSION = 1
+
+#: Separate version for the shard-result layout.
+_RESULT_CODEC_VERSION = 1
 
 #: Separate version for the stream-order feed-batch layout below.
 _BATCH_CODEC_VERSION = 1
@@ -50,21 +66,152 @@ def encode_shard_items(
     return pickle.dumps((_CODEC_VERSION, payload), protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def decode_shard_items(blob: bytes) -> List[Tuple[Hashable, History]]:
-    """Rebuild the ``(key, History)`` pairs encoded by :func:`encode_shard_items`.
-
-    Each history comes back with its columnar encoding pre-cached, so the
-    verifiers' fast path needs no re-encoding inside the worker.
-    """
+def decode_shard_columns(blob: bytes) -> List[Tuple[Hashable, ColumnarHistory]]:
+    """The ``(key, ColumnarHistory)`` pairs encoded by :func:`encode_shard_items`."""
     version, payload = pickle.loads(blob)
     if version != _CODEC_VERSION:
         raise ValueError(
             f"unsupported shard codec version {version!r} (expected {_CODEC_VERSION})"
         )
-    return [
-        (key, ColumnarHistory.from_columns(columns).to_history())
-        for key, columns in payload
-    ]
+    return [(key, ColumnarHistory.from_columns(columns)) for key, columns in payload]
+
+
+def decode_shard_items(blob: bytes) -> List[Tuple[Hashable, History]]:
+    """Rebuild the ``(key, History)`` pairs encoded by :func:`encode_shard_items`.
+
+    Each history comes back with its columnar encoding pre-cached, so the
+    verifiers' fast path needs no re-encoding.
+    """
+    return [(key, col.to_history()) for key, col in decode_shard_columns(blob)]
+
+
+def encode_shard_results(entries: Iterable[Tuple[Hashable, ColumnarHistory, Any]]) -> bytes:
+    """Serialise ``(key, col, verdict)`` triples for the trip back to the host.
+
+    ``col`` is the register's encoding as the worker received it and
+    ``verdict`` its :class:`~repro.core.vector.ColumnarVerdict`.  The inverse
+    is :func:`decode_shard_results`.
+    """
+    payload = []
+    for key, col, verdict in entries:
+        result = verdict.result
+        payload.append(
+            (
+                key,
+                result.is_k_atomic,
+                result.k,
+                result.algorithm,
+                result.reason,
+                result.stats,
+                _encode_witness(col, verdict),
+            )
+        )
+    return pickle.dumps((_RESULT_CODEC_VERSION, payload), protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _encode_witness(col: ColumnarHistory, verdict: Any) -> Optional[Tuple]:
+    """``(positions, moved)`` for a witness, ``None`` without one.
+
+    ``moved`` is ``None`` when every witness operation keeps its times, else
+    ``(positions, starts, finishes)`` of the operations normalisation moved.
+    """
+    if verdict.positions is not None:
+        positions = verdict.positions
+        moved = None
+        if verdict.times is not col:
+            from ..core import vector  # numpy is present on this path
+
+            np = vector.np
+            was, now = vector._columns(col), vector._columns(verdict.times)
+            where = np.flatnonzero((was.start != now.start) | (was.finish != now.finish))
+            if where.size:
+                moved = (
+                    where.astype(np.int32).tobytes(),
+                    now.start[where].tobytes(),
+                    now.finish[where].tobytes(),
+                )
+        return positions.tobytes(), moved
+    witness = verdict.result.witness
+    if witness is None:
+        return None
+    # A witness the worker decoded: map it back by op id (an operation's
+    # identity) and keep the times of the operations normalisation moved.
+    position_of = {op_id: i for i, op_id in enumerate(col.op_ids)}
+    positions = array("i", [position_of[op.op_id] for op in witness])
+    start, finish = col.start, col.finish
+    moved_at = array("i")
+    moved_start = array("d")
+    moved_finish = array("d")
+    for i, op in zip(positions, witness):
+        if op.start != start[i] or op.finish != finish[i]:
+            moved_at.append(i)
+            moved_start.append(op.start)
+            moved_finish.append(op.finish)
+    moved = None
+    if moved_at:
+        moved = (moved_at.tobytes(), moved_start.tobytes(), moved_finish.tobytes())
+    return positions.tobytes(), moved
+
+
+def decode_shard_results(
+    blob: bytes, histories: Mapping[Hashable, History]
+) -> List[Tuple[Hashable, VerificationResult]]:
+    """Rebuild the ``(key, VerificationResult)`` pairs of :func:`encode_shard_results`.
+
+    ``histories`` maps every register key in the shard to the history the
+    task was built from; witnesses are rebuilt from its operations.
+    """
+    version, payload = pickle.loads(blob)
+    if version != _RESULT_CODEC_VERSION:
+        raise ValueError(
+            f"unsupported shard-result codec version {version!r} "
+            f"(expected {_RESULT_CODEC_VERSION})"
+        )
+    results = []
+    for key, ok, k, algorithm, reason, stats, witness in payload:
+        if witness is not None:
+            witness = _decode_witness(histories[key].operations, *witness)
+        results.append(
+            (
+                key,
+                VerificationResult(
+                    is_k_atomic=ok,
+                    k=k,
+                    algorithm=algorithm,
+                    witness=witness,
+                    reason=reason,
+                    stats=stats,
+                ),
+            )
+        )
+    return results
+
+
+def _decode_witness(
+    ops: Sequence[Operation], positions_b: bytes, moved: Optional[Tuple]
+) -> Tuple[Operation, ...]:
+    positions = array("i")
+    positions.frombytes(positions_b)
+    if moved is not None:
+        ops = list(ops)
+        at, starts, finishes = array("i"), array("d"), array("d")
+        at.frombytes(moved[0])
+        starts.frombytes(moved[1])
+        finishes.frombytes(moved[2])
+        for i, start, finish in zip(at, starts, finishes):
+            op = ops[i]
+            # The worker's normalisation kept finish > start.
+            ops[i] = trusted_operation(
+                op.op_type,
+                op.value,
+                start,
+                finish,
+                key=op.key,
+                client=op.client,
+                op_id=op.op_id,
+                weight=op.weight,
+            )
+    return tuple([ops[i] for i in positions])
 
 
 # ----------------------------------------------------------------------

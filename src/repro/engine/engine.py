@@ -9,9 +9,13 @@ Pipeline (each stage pluggable):
 2. **Sharding** — a :mod:`partitioner <repro.engine.partition>` groups
    registers into shard tasks.
 3. **Execution** — an :mod:`executor <repro.engine.executors>` runs the shard
-   tasks serially, on a thread pool, or on a process pool; each shard verifies
-   its registers with the unified :func:`repro.core.api.verify` entry point.
-4. **Aggregation** — shard results stream back in completion order and are
+   tasks serially, on a thread pool, or on a process pool.  In-process shards
+   verify their histories with the unified :func:`repro.core.api.verify`
+   entry point (the reference object path); shards crossing the process
+   boundary travel as columns (:mod:`repro.engine.codec`) and are verified
+   from those columns by :func:`repro.core.vector.columnar_verdict`.
+4. **Aggregation** — shard results stream back in completion order (process
+   results as columns, witnesses rebuilt from the host's histories) and are
    merged into a :class:`~repro.analysis.report.TraceVerificationReport`,
    optionally short-circuiting on the first failing register.
 
@@ -24,8 +28,8 @@ registers yields the same aggregate answer.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 from ..core.builder import TraceBuilder
 from ..core.errors import VerificationError
@@ -48,7 +52,13 @@ __all__ = [
 
 # Re-exported so the engine can be configured without importing core.api.
 from ..core.api import DEFAULT_MAX_EXACT_OPS
-from .codec import decode_shard_items, encode_shard_items
+from .codec import (
+    decode_shard_columns,
+    decode_shard_items,
+    decode_shard_results,
+    encode_shard_items,
+    encode_shard_results,
+)
 
 TraceLike = Union[MultiHistory, TraceBuilder, Iterable[Operation]]
 
@@ -57,9 +67,10 @@ TraceLike = Union[MultiHistory, TraceBuilder, Iterable[Operation]]
 class ShardTask:
     """One unit of work: a group of per-register histories plus verify options.
 
-    Everything here pickles by value — algorithm dispatch crosses the process
-    boundary as a *name*, resolved against the registry inside the worker —
-    so the same task object serves all executors.
+    Everything here pickles by value — algorithm dispatch is a *name*,
+    resolved against the registry where the shard runs.  In-process executors
+    run the task as is; executors that cross the process boundary ship its
+    encoded form (:meth:`encode`).
     """
 
     shard_id: int
@@ -100,9 +111,8 @@ class EncodedShardTask:
     Created by :meth:`ShardTask.encode` for executors that cross the process
     boundary: the payload pickles to a fraction of the object graph's size
     (raw timestamp/flag/id columns plus small interning tables instead of one
-    pickled dataclass per operation) and decodes through the trusted
-    constructors, skipping re-validation of invariants that held on the
-    submitting side.
+    pickled dataclass per operation), and the worker verifies each register
+    straight from its columns.
     """
 
     shard_id: int
@@ -117,7 +127,7 @@ class EncodedShardTask:
     tier: Optional[TierPolicy] = None
 
     def decode_items(self) -> Tuple[Tuple[Hashable, History], ...]:
-        """Rebuild the ``(key, History)`` pairs inside the worker."""
+        """Rebuild the ``(key, History)`` pairs."""
         return tuple(decode_shard_items(self.payload))
 
 
@@ -145,11 +155,12 @@ class RcolShardTask:
     kernel: Optional[str] = None
     tier: Optional[TierPolicy] = None
 
-    def effective_kernel(self) -> Optional[str]:
-        """The kernel request to forward, folding in the legacy flag."""
-        if self.kernel is not None or self.columnar is None:
-            return self.kernel
-        return "columnar" if self.columnar else "object"
+
+def _effective_kernel(task) -> Optional[str]:
+    """The kernel request a column-fed shard forwards, folding in the legacy flag."""
+    if task.kernel is not None or task.columnar is None:
+        return task.kernel
+    return "columnar" if task.columnar else "object"
 
 
 @dataclass(frozen=True)
@@ -162,55 +173,67 @@ class ShardOutcome:
     elapsed_s: float
     #: Per-register tier routes when the shard ran under a tier policy.
     tier_decisions: Tuple[TierDecision, ...] = ()
+    #: The results in the result codec (:func:`~repro.engine.codec.encode_shard_results`)
+    #: when a column-encoded shard comes back from a worker; ``results`` is
+    #: empty until :meth:`resolve` rebuilds it on the host.
+    payload: Optional[bytes] = None
 
     @property
     def has_failure(self) -> bool:
         """True iff any register in the shard failed verification."""
         return any(not r for _, r in self.results)
 
+    def resolve(self, histories: Mapping[Hashable, History]) -> "ShardOutcome":
+        """Decode :attr:`payload` against the host's register histories."""
+        if self.payload is None:
+            return self
+        results = tuple(decode_shard_results(self.payload, histories))
+        return replace(self, results=results, payload=None)
 
-def _run_rcol_shard(task: RcolShardTask) -> ShardOutcome:
-    """Verify one :class:`RcolShardTask` by lazy per-register ingestion."""
+
+def _column_verdicts(task, registers, decisions: List[TierDecision]) -> Iterator[Tuple]:
+    """Verify ``(key, ColumnarHistory)`` registers; yield ``(key, col, verdict)``.
+
+    The one worker loop of the column-fed shards (encoded and ``.rcol``);
+    tier routes are appended to ``decisions``.  The exact fallbacks (timestamp
+    ties, LBT/exact, ``k >= 3``, non-numpy kernels) live inside
+    :func:`repro.core.vector.columnar_verdict`.
+    """
     from ..core import vector
+
+    kernel = _effective_kernel(task)
+    tier = task.tier if task.tier is not None and task.tier.active else None
+    for key, col in registers:
+        if tier is not None:
+            verdict, decision = tier.columnar_verdict_with_decision(
+                col,
+                task.k,
+                key=str(key),
+                algorithm=task.algorithm,
+                preprocess=task.preprocess,
+                max_exact_ops=task.max_exact_ops,
+                kernel=kernel,
+            )
+            decisions.append(decision)
+        else:
+            verdict = vector.columnar_verdict(
+                col,
+                task.k,
+                algorithm=task.algorithm,
+                preprocess=task.preprocess,
+                max_exact_ops=task.max_exact_ops,
+                kernel=kernel,
+            )
+        yield key, col, verdict
+
+
+def _rcol_registers(task: RcolShardTask) -> Iterator[Tuple[Hashable, object]]:
+    """Memory-map the task's file and load its registers' columns lazily."""
     from ..io.rcol import RcolFile
 
-    t0 = time.perf_counter()
-    kernel = task.effective_kernel()
-    results = []
-    decisions: List[TierDecision] = []
     with RcolFile(task.path) as rf:
         for key in task.keys:
-            col = rf.load_columnar(key)
-            if task.tier is not None and task.tier.active:
-                result, decision = task.tier.verify_columnar_with_decision(
-                    col,
-                    task.k,
-                    key=str(key),
-                    algorithm=task.algorithm,
-                    preprocess=task.preprocess,
-                    max_exact_ops=task.max_exact_ops,
-                    kernel=kernel,
-                    decode_witness=False,
-                )
-                decisions.append(decision)
-            else:
-                result = vector.verify_columnar(
-                    col,
-                    task.k,
-                    algorithm=task.algorithm,
-                    preprocess=task.preprocess,
-                    max_exact_ops=task.max_exact_ops,
-                    kernel=kernel,
-                    decode_witness=False,
-                )
-            results.append((key, result))
-    return ShardOutcome(
-        shard_id=task.shard_id,
-        results=tuple(results),
-        num_ops=task.num_ops,
-        elapsed_s=time.perf_counter() - t0,
-        tier_decisions=tuple(decisions),
-    )
+            yield key, rf.load_columnar(key)
 
 
 def run_shard(
@@ -221,18 +244,39 @@ def run_shard(
     Worker processes receive this function by qualified name and the task by
     value; the algorithm is resolved from the registry *here*, inside the
     worker, never shipped as a function object.  Column-encoded tasks are
-    decoded here too, on the worker side of the process boundary, and
-    ``.rcol`` shards are memory-mapped here, inside the worker that owns them.
+    verified from their columns and return their results encoded
+    (:attr:`ShardOutcome.payload`); ``.rcol`` shards are memory-mapped here,
+    inside the worker that owns them, and return YES witnesses undecoded.
     """
+    t0 = time.perf_counter()
+    decisions: List[TierDecision] = []
+    payload = None
+    if isinstance(task, EncodedShardTask):
+        registers = decode_shard_columns(task.payload)
+        payload = encode_shard_results(_column_verdicts(task, registers, decisions))
+        results: Tuple = ()
+    elif isinstance(task, RcolShardTask):
+        results = tuple(
+            (key, verdict.result)
+            for key, _col, verdict in _column_verdicts(task, _rcol_registers(task), decisions)
+        )
+    else:
+        results = tuple(_object_results(task, decisions))
+    return ShardOutcome(
+        shard_id=task.shard_id,
+        results=results,
+        num_ops=task.num_ops,
+        elapsed_s=time.perf_counter() - t0,
+        tier_decisions=tuple(decisions),
+        payload=payload,
+    )
+
+
+def _object_results(task: ShardTask, decisions: List[TierDecision]) -> Iterator[Tuple]:
+    """The reference object path of in-process shards."""
     from ..core.api import verify  # local import keeps worker start-up lean
 
-    if isinstance(task, RcolShardTask):
-        return _run_rcol_shard(task)
-    t0 = time.perf_counter()
-    items = task.decode_items() if isinstance(task, EncodedShardTask) else task.items
-    results: List[Tuple[Hashable, VerificationResult]] = []
-    decisions: List[TierDecision] = []
-    for key, history in items:
+    for key, history in task.items:
         if task.tier is not None and task.tier.active:
             result, decision = task.tier.verify_with_decision(
                 history,
@@ -255,14 +299,7 @@ def run_shard(
                 columnar=task.columnar,
                 kernel=task.kernel,
             )
-        results.append((key, result))
-    return ShardOutcome(
-        shard_id=task.shard_id,
-        results=tuple(results),
-        num_ops=task.num_ops,
-        elapsed_s=time.perf_counter() - t0,
-        tier_decisions=tuple(decisions),
-    )
+        yield key, result
 
 
 class Engine:
@@ -302,11 +339,6 @@ class Engine:
         Unknown names raise.  Escalation decisions surface in the report's
         ``tier_stats``/``tier_decisions`` so skipped exact checks are never
         silent.
-    compact_ipc:
-        When true (default), executors that cross the process boundary ship
-        shards as compact column buffers (:mod:`repro.engine.codec`) instead
-        of pickled operation object graphs.  In-process executors always use
-        the histories directly.
     fail_fast:
         When true, stop dispatching after the first shard containing a
         failing register; unverified registers are reported as skipped.
@@ -338,7 +370,6 @@ class Engine:
         columnar: Optional[bool] = None,
         kernel: Optional[str] = None,
         tier: "Union[None, str, TierPolicy]" = None,
-        compact_ipc: bool = True,
         fail_fast: bool = False,
     ):
         self.executor = get_executor(executor) if isinstance(executor, str) else executor
@@ -360,7 +391,6 @@ class Engine:
         self.kernel = kernel
         self.tier = get_tier_policy(tier)  # raises on unknown names
         self.tier_name = self.tier.name if self.tier is not None else "exact"
-        self.compact_ipc = compact_ipc
         self.fail_fast = fail_fast
 
     # ------------------------------------------------------------------
@@ -465,11 +495,17 @@ class Engine:
         registers = self._as_register_histories(trace)
         key_order = [key for key, _ in registers]
         tasks: List[Union[ShardTask, EncodedShardTask]] = list(self.plan(registers, k))
-        if self.compact_ipc and self.executor.crosses_process_boundary:
+        if self.executor.crosses_process_boundary:
             tasks = [task.encode() for task in tasks]
-        return self._execute(tasks, key_order, k)
+        return self._execute(tasks, key_order, k, histories=dict(registers))
 
-    def _execute(self, tasks, key_order, k: int) -> TraceVerificationReport:
+    def _execute(
+        self,
+        tasks,
+        key_order,
+        k: int,
+        histories: Optional[Mapping[Hashable, History]] = None,
+    ) -> TraceVerificationReport:
         """Run planned shard tasks and merge their outcomes into a report."""
         merged: Dict[Hashable, VerificationResult] = {}
         stats: List[ShardStats] = []
@@ -479,6 +515,7 @@ class Engine:
         outcome_stream = self.executor.run(run_shard, tasks, self.jobs)
         try:
             for outcome in outcome_stream:
+                outcome = outcome.resolve(histories)
                 merged.update(outcome.results)
                 stats.append(
                     ShardStats(

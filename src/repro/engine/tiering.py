@@ -149,6 +149,59 @@ class TraceFeatures:
             max_value_lag=_max_value_lag(history),
         )
 
+    @classmethod
+    def from_columnar(cls, col: Any) -> "TraceFeatures":
+        """The :meth:`from_history` features of a columnar encoding.
+
+        Vectorized over the canonical-order columns, without decoding any
+        operation; equal to ``from_history(col.to_history())`` field for
+        field (``tests/test_tiering.py`` pins it).
+        """
+        from ..core import vector  # local: numpy-side column views
+
+        n = col.n
+        if not vector.NUMPY_AVAILABLE or n == 0:
+            return cls.from_history(col.to_history())
+        np = vector.np
+        c = vector._columns(col)
+        start, finish = c.start, c.finish
+        lo, hi = float(start.min()), float(finish.max())
+        duration = max(0.0, hi - lo)
+        rate = (n / duration) if duration > 0 else 0.0
+        # Canonical order sorts by (start, finish), like from_history's scan.
+        overlaps = int(np.count_nonzero(start[1:] < finish[:-1]))
+        density = overlaps / (n - 1) if n > 1 else 0.0
+
+        reads, writes = c.reads, c.writes
+        d = c.dictating[reads].astype(np.int64)
+        known = d >= 0
+        late = np.zeros(reads.size, dtype=bool)
+        late[known] = finish[reads[known]] < start[d[known]]
+        anomalies = int(np.count_nonzero(~known | late))
+        score = anomalies / int(reads.size) if reads.size else 0.0
+
+        # Writes ranked by (finish, start), canonical order breaking ties;
+        # a read skips the fresher-ranked writes finishing before it starts.
+        order = np.lexsort((start[writes], finish[writes]))
+        rank_of_ord = np.empty(writes.size, dtype=np.int64)
+        rank_of_ord[order] = np.arange(writes.size, dtype=np.int64)
+        lag = 0
+        if known.any():
+            read_pos = reads[known]
+            base = rank_of_ord[c.write_ord[d[known]]]
+            finished = np.searchsorted(finish[writes][order], start[read_pos], side="left")
+            lag = max(0, int((finished - base - 1).max()))
+        return cls(
+            num_ops=n,
+            num_writes=int(writes.size),
+            num_reads=int(reads.size),
+            duration=duration,
+            op_rate=rate,
+            overlap_density=density,
+            anomaly_score=score,
+            max_value_lag=lag,
+        )
+
 
 def _max_value_lag(history: History) -> int:
     """Largest number of completed fresher writes skipped by any read.
@@ -572,7 +625,7 @@ class TierPolicy:
             name, "exact", escalated=True, triggers=tuple(triggers)
         )
 
-    def verify_columnar_with_decision(
+    def columnar_verdict_with_decision(
         self,
         col: Any,
         k: int,
@@ -582,65 +635,59 @@ class TierPolicy:
         preprocess: bool = True,
         max_exact_ops: int = 40,
         kernel: Optional[str] = None,
-        decode_witness: bool = True,
-    ) -> Tuple[VerificationResult, TierDecision]:
+    ) -> Tuple[Any, TierDecision]:
         """The ladder on a :class:`~repro.core.columnar.ColumnarHistory`.
 
-        Used by the out-of-core (``.rcol``) shard path, which never
-        materialises object histories.  Feature gating uses the memoized
-        columnar anomaly scan only; the screens themselves provide the rest
-        of the escalation signal (a screen NO always escalates).
+        Used by the column-fed shard paths (process workers and ``.rcol``
+        shards), which never build object histories.  Routes exactly like
+        :meth:`verify_with_decision`: the feature gates read the same
+        features from the columns (:meth:`TraceFeatures.from_columnar`).
+        Returns a :class:`~repro.core.vector.ColumnarVerdict`, whose YES
+        witness may still be positions.
         """
         from ..core import vector  # local: avoid import cycle
 
-        def exact_run() -> VerificationResult:
-            return vector.verify_columnar(
+        def run(run_k: int, run_algorithm: str):
+            return vector.columnar_verdict(
                 col,
-                k,
-                algorithm=algorithm,
+                run_k,
+                algorithm=run_algorithm,
                 preprocess=preprocess,
                 max_exact_ops=max_exact_ops,
                 kernel=kernel,
-                decode_witness=decode_witness,
             )
 
         name = key or getattr(col, "key", "") or ""
-        if not self.screen or k <= 1 or getattr(col, "n", 0) == 0:
-            return exact_run(), TierDecision(name, "exact", escalated=False)
-        if self.feature_gated and col.has_anomalies():
-            return exact_run(), TierDecision(
-                name, "exact", escalated=True, triggers=("anomaly",)
-            )
+        if not self.screen or k <= 1 or col.n == 0:
+            return run(k, algorithm), TierDecision(name, "exact", escalated=False)
+        if self.feature_gated:
+            gates = self.gate_triggers(TraceFeatures.from_columnar(col), k)
+            if gates:
+                return run(k, algorithm), TierDecision(
+                    name, "exact", escalated=True, triggers=gates
+                )
         triggers: List[str] = []
         ladder: List[Tuple[int, str]] = [(1, "screen")]
         if k >= 3:
             ladder.append((2, "confirm"))
         for screen_k, rung in ladder:
             try:
-                screened = vector.verify_columnar(
-                    col,
-                    screen_k,
-                    algorithm="auto",
-                    preprocess=preprocess,
-                    max_exact_ops=max_exact_ops,
-                    kernel=kernel,
-                    decode_witness=decode_witness,
-                )
+                screened = run(screen_k, "auto")
             except VerificationError:
                 triggers.append(f"{rung}-error")
                 break
-            if screened.is_k_atomic:
+            if screened.result.is_k_atomic:
                 result = VerificationResult.yes(
                     k,
-                    screened.algorithm,
-                    witness=screened.witness,
+                    screened.result.algorithm,
+                    witness=screened.result.witness,
                     reason=(
-                        f"{screen_k}-atomic per {screened.algorithm}; "
+                        f"{screen_k}-atomic per {screened.result.algorithm}; "
                         f"k-monotonicity implies {k}-atomic"
                     ),
-                    stats={**screened.stats, "tier": rung, "screen_k": screen_k},
+                    stats={**screened.result.stats, "tier": rung, "screen_k": screen_k},
                 )
-                return result, TierDecision(
+                return screened._replace(result=result), TierDecision(
                     name,
                     rung,
                     escalated=False,
@@ -648,7 +695,7 @@ class TierPolicy:
                     screen_k=screen_k,
                 )
             triggers.append(f"{rung}-alarm")
-        return exact_run(), TierDecision(
+        return run(k, algorithm), TierDecision(
             name, "exact", escalated=True, triggers=tuple(triggers)
         )
 

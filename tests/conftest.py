@@ -93,3 +93,18 @@ def make_random_history(rng, num_writes, num_reads, span=10.0, max_duration=2.0)
         start = rng.uniform(0.0, span + max_duration)
         ops.append(read(value, start, start + rng.uniform(0.01, max_duration)))
     return History(ops)
+
+
+def result_fields(result):
+    """Every field of a ``VerificationResult``, witness operations field by field.
+
+    ``Operation`` equality compares op ids only, so parity tests compare
+    these tuples instead of the results themselves.
+    """
+    witness = None
+    if result.witness is not None:
+        witness = [
+            (op.op_id, op.op_type, op.value, op.key, op.client, op.weight, op.start, op.finish)
+            for op in result.witness
+        ]
+    return (result.is_k_atomic, result.k, result.algorithm, result.reason, result.stats, witness)

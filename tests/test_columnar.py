@@ -25,6 +25,8 @@ from repro.core.preprocess import find_anomalies, has_anomalies, normalize
 from repro.core.zones import build_clusters
 from repro.engine import EncodedShardTask, Engine, ShardTask, run_shard
 from repro.workloads.synthetic import practical_history, random_history, synthetic_trace
+from tests.conftest import result_fields
+from tests.test_engine import in_flight_read_trace
 
 
 def fuzz_histories():
@@ -267,13 +269,10 @@ class TestShardCodec:
         )
         clone = pickle.loads(pickle.dumps(encoded, pickle.HIGHEST_PROTOCOL))
         out_obj = run_shard(task)
-        out_col = run_shard(clone)
+        out_col = run_shard(clone).resolve(dict(task.items))
         assert out_col.num_ops == out_obj.num_ops
-        assert {k: bool(r) for k, r in out_col.results} == {
-            k: bool(r) for k, r in out_obj.results
-        }
-        assert {k: r.reason for k, r in out_col.results} == {
-            k: r.reason for k, r in out_obj.results
+        assert {k: result_fields(r) for k, r in out_col.results} == {
+            k: result_fields(r) for k, r in out_obj.results
         }
 
     def test_decode_preserves_op_identity(self):
@@ -282,16 +281,46 @@ class TestShardCodec:
         for key, original in task.items:
             assert decoded[key] == original
 
-    def test_engine_compact_ipc_toggle(self):
+    def test_numpy_yes_path_builds_no_operation(self, monkeypatch):
+        from repro.core import operation as operation_module
+
+        trace = in_flight_read_trace()  # normalisation moves every write
+        task = self.make_task(items=tuple((key, trace[key]) for key in trace.keys()))
+        encoded = task.encode()
+        built = []
+        real_post_init = operation_module.Operation.__post_init__
+
+        def count_post_init(op):
+            built.append(op)
+            real_post_init(op)
+
+        def count_trusted(*args, **kwargs):
+            built.append(args)
+            return trusted_operation(*args, **kwargs)
+
+        monkeypatch.setattr(operation_module.Operation, "__post_init__", count_post_init)
+        monkeypatch.setattr(columnar, "trusted_operation", count_trusted)
+        outcome = run_shard(encoded)
+        monkeypatch.undo()
+        assert built == []
+        assert outcome.results == () and outcome.payload is not None
+        resolved = outcome.resolve(dict(task.items))
+        assert all(r.is_k_atomic and r.algorithm == "FZF" for _, r in resolved.results)
+        reference = run_shard(task)
+        assert {k: result_fields(r) for k, r in resolved.results} == {
+            k: result_fields(r) for k, r in reference.results
+        }
+        assert len(outcome.payload) < len(
+            pickle.dumps(reference.results, pickle.HIGHEST_PROTOCOL)
+        )
+
+    def test_engine_processes_match_serial_fields(self):
         trace = synthetic_trace(random.Random(4), 5, 100)
-        compact = Engine(executor="processes", jobs=2).verify_trace(trace, 2)
-        plain = Engine(
-            executor="processes", jobs=2, compact_ipc=False
-        ).verify_trace(trace, 2)
+        processes = Engine(executor="processes", jobs=2).verify_trace(trace, 2)
         serial = Engine().verify_trace(trace, 2)
-        expected = {k: bool(r) for k, r in serial.results.items()}
-        assert {k: bool(r) for k, r in compact.results.items()} == expected
-        assert {k: bool(r) for k, r in plain.results.items()} == expected
+        assert list(processes.results) == list(serial.results)
+        for key, expected in serial.results.items():
+            assert result_fields(processes.results[key]) == result_fields(expected)
 
 
 class TestDerivedCache:

@@ -9,13 +9,14 @@ says any register partitioning is correct; these tests say the code agrees.
 
 import pickle
 import random
+from dataclasses import replace
 
 import pytest
 
 from repro.core.api import verify
 from repro.core.builder import TraceBuilder
 from repro.core.errors import VerificationError
-from repro.core.history import MultiHistory
+from repro.core.history import History, MultiHistory
 from repro.core.operation import read, write
 from repro.engine import (
     Engine,
@@ -27,7 +28,13 @@ from repro.engine import (
     get_partitioner,
     run_shard,
 )
-from repro.workloads.synthetic import exactly_k_atomic_history, serial_history, synthetic_trace
+from repro.workloads.synthetic import (
+    exactly_k_atomic_history,
+    practical_history,
+    serial_history,
+    synthetic_trace,
+)
+from tests.conftest import result_fields
 
 EXECUTORS = ["serial", "threads", "processes"]
 KS = [1, 2, 3]
@@ -78,6 +85,71 @@ TRACES = {
 }
 
 
+def coarse_clock_trace():
+    """Practical registers on a half-unit clock: timestamp ties everywhere,
+    so normalisation takes the sequential tie-breaking fallback."""
+    rng = random.Random(5)
+    ops = []
+    for i in range(4):
+        for op in practical_history(rng, 60, num_clients=4, key=f"coarse-{i}").operations:
+            start = float(int(op.start * 2)) / 2
+            finish = max(float(int(op.finish * 2)) / 2, start + 0.5)
+            ops.append(op.with_times(start=start, finish=finish))
+    return MultiHistory(ops)
+
+
+def weighted_client_trace():
+    """Registers whose writes carry weights > 1 and whose ops carry clients."""
+    rng = random.Random(6)
+    ops = []
+    for i in range(3):
+        history = practical_history(rng, 80, num_clients=3, key=f"weighted-{i}")
+        ops.extend(
+            replace(op, weight=2 + op.op_id % 3) if op.is_write else op
+            for op in history.operations
+        )
+    return MultiHistory(ops)
+
+
+def in_flight_read_trace():
+    """Reads that finish inside their write, so normalisation shortens every
+    write; timestamps stay distinct, so the numpy path still runs."""
+    rng = random.Random(7)
+    ops = []
+    for r in range(3):
+        key = f"in-flight-{r}"
+        for i in range(30):
+            t = 10.0 * i + rng.uniform(0.0, 1.0)
+            ops.append(write(i, t, t + 6.0, key=key, client=i % 3))
+            ops.append(read(i, t + 1.0, t + rng.uniform(2.0, 4.0), key=key))
+            ops.append(read(i, t + 7.0, t + rng.uniform(8.0, 9.0), key=key))
+    return MultiHistory(ops)
+
+
+def keyless_history():
+    """One register whose operations carry no key at all."""
+    return History(practical_history(random.Random(8), 60).operations)
+
+
+#: ``(trace factory, k, Engine options)`` beyond every ``TRACES`` x ``KS``
+#: pair: the fallback paths and the options that reach the worker.
+PARITY_VARIANTS = [
+    (coarse_clock_trace, 1, {}),
+    (coarse_clock_trace, 2, {}),
+    (weighted_client_trace, 2, {}),
+    (keyless_history, 2, {}),
+    (in_flight_read_trace, 1, {}),
+    (in_flight_read_trace, 2, {}),
+    (in_flight_read_trace, 3, {"tier": "screen"}),
+    (synthetic_many_register_trace, 2, {"algorithm": "lbt"}),
+    (synthetic_many_register_trace, 2, {"tier": "auto"}),
+    (synthetic_many_register_trace, 3, {"tier": "auto"}),
+    (synthetic_many_register_trace, 2, {"tier": "screen"}),
+    (mixed_staleness_trace, 3, {"tier": "screen"}),
+    (coarse_clock_trace, 2, {"tier": "auto"}),
+]
+
+
 def seed_verdicts(trace, k):
     """The reference semantics: verify each register in trace order."""
     return {key: bool(verify(trace[key], k)) for key in trace.keys()}
@@ -109,17 +181,36 @@ class TestExecutorParity:
 
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_result_objects_match_serial_fields(self, executor):
-        trace = mixed_staleness_trace()
-        report = Engine(executor=executor, jobs=2).verify_trace(trace, 2)
-        for key in trace.keys():
-            expected = verify(trace[key], 2)
-            got = report.results[key]
-            assert (got.is_k_atomic, got.k, got.algorithm, got.reason) == (
-                expected.is_k_atomic,
-                expected.k,
-                expected.algorithm,
-                expected.reason,
-            )
+        cases = [(TRACES[name], k, {}) for name in sorted(TRACES) for k in KS]
+        for factory, k, options in cases + PARITY_VARIANTS:
+            trace = factory()
+            serial = Engine(**options).verify_trace(trace, k)
+            report = Engine(executor=executor, jobs=2, **options).verify_trace(trace, k)
+            case = (factory.__name__, k, options)
+            assert not report.skipped_keys and not serial.skipped_keys, case
+            assert list(report.results) == list(serial.results), case
+            for key, expected in serial.results.items():
+                assert result_fields(report.results[key]) == result_fields(expected), (case, key)
+            assert report.tier_stats == serial.tier_stats, case
+            assert report.tier_decisions == serial.tier_decisions, case
+            if not options:
+                keyed = trace if isinstance(trace, MultiHistory) else {None: trace}
+                for key in serial.results:
+                    assert result_fields(serial.results[key]) == result_fields(
+                        verify(keyed[key], k)
+                    ), (case, key)
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_fail_fast_results_match_serial_fields(self, executor):
+        trace = synthetic_trace(
+            random.Random(9), 8, 40, staleness_probability=0.3, max_staleness=2
+        )
+        serial = Engine().verify_trace(trace, 1)
+        report = Engine(executor=executor, jobs=2, fail_fast=True).verify_trace(trace, 1)
+        assert not report.is_k_atomic
+        assert set(report.results) | set(report.skipped_keys) == set(trace.keys())
+        for key, got in report.results.items():
+            assert result_fields(got) == result_fields(serial.results[key]), key
 
     def test_results_preserve_trace_key_order(self):
         trace = synthetic_many_register_trace()

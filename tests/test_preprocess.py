@@ -1,5 +1,7 @@
 """Unit tests for anomaly detection and history normalisation (Section II-C)."""
 
+import random
+
 import pytest
 
 from repro.core.errors import AnomalyError
@@ -14,6 +16,7 @@ from repro.core.preprocess import (
     perturb_equal_timestamps,
     shorten_writes,
 )
+from repro.workloads.synthetic import practical_history
 
 
 class TestAnomalyDetection:
@@ -92,14 +95,27 @@ class TestPerturbTimestamps:
     def test_distinct_timestamps_untouched(self):
         h = History([write("a", 0.0, 1.0), read("a", 2.0, 3.0)])
         assert perturb_equal_timestamps(h) == h
+        practical = practical_history(random.Random(3), 300)
+        assert perturb_equal_timestamps(practical) is practical
 
     def test_ties_are_broken(self):
-        h = History([write("a", 0.0, 1.0), write("b", 1.0, 2.0), read("a", 1.0, 3.0)])
-        fixed = perturb_equal_timestamps(h)
-        stamps = []
-        for op in fixed.operations:
-            stamps.extend(op.interval)
-        assert len(stamps) == len(set(stamps))
+        coarse = History(
+            op.with_times(start=float(int(op.start)), finish=float(int(op.start)) + 1.0)
+            for op in practical_history(random.Random(4), 200).operations
+        )
+        cases = [
+            History([write("a", 0.0, 1.0), write("b", 1.0, 2.0), read("a", 1.0, 3.0)]),
+            # Signed zeros are equal in a set, so they count as a tie.
+            History([write("a", -0.0, 1.0), read("a", 0.0, 2.0)]),
+            coarse,
+        ]
+        for h in cases:
+            fixed = perturb_equal_timestamps(h)
+            assert fixed is not h
+            stamps = []
+            for op in fixed.operations:
+                stamps.extend(op.interval)
+            assert len(stamps) == len(set(stamps))
 
     def test_order_of_distinct_stamps_preserved(self):
         h = History([write("a", 0.0, 5.0), write("b", 5.0, 7.0), read("b", 6.0, 9.0)])

@@ -105,6 +105,27 @@ def test_trace_features_anomaly_score():
     assert features.anomaly_score == pytest.approx(0.5)
 
 
+def test_trace_features_from_columns_match_from_history(
+    stale_by_two_history, atomic_history
+):
+    from repro.core.columnar import columnar_of
+
+    rng = random.Random(TEST_SEED)
+    # A read finishing exactly when its write starts does not precede it.
+    touching = History([write("a", 2.0, 3.0), read("a", 1.0, 2.0)])
+    histories = [stale_by_two_history, atomic_history, touching]
+    histories += [make_random_history(rng, 6, 10) for _ in range(40)]
+    histories += [
+        trace[key]
+        for trace in [synthetic_trace(rng, 4, 60, staleness_probability=0.3, max_staleness=3)]
+        for key in trace.keys()
+    ]
+    for history in histories:
+        assert TraceFeatures.from_columnar(columnar_of(history)) == TraceFeatures.from_history(
+            history
+        )
+
+
 def test_gate_triggers_force_escalation_features():
     policy = get_tier_policy("auto")
     stale = TraceFeatures.from_history(
