@@ -21,7 +21,11 @@ buys end to end and doubles as a parity test:
   pickled ``ShardTask`` object graphs vs the compact column codec, and the
   pickled object-path outcome vs the worker's column-encoded results
   (witnesses as positions, :mod:`repro.engine.codec`), decoded and compared
-  field for field with the object path.
+  field for field with the object path;
+* **batch file** — ``Engine(executor="processes").verify_file`` on a JSONL
+  file that splits into at least two decode ranges, compared field for
+  field (witnesses included) with the serial object reference
+  ``Engine().verify_trace(load_trace(path), k)``.
 
 Every timed verdict is cross-checked between the paths (verdict, reason,
 stats and witness validity), so a kernel divergence fails the run loudly.
@@ -33,7 +37,8 @@ Run with::
 
 ``--check`` re-validates the recorded baseline invariants (parity, minimum
 columnar and vectorized speedups, payload and result reduction with witness
-parity) at whatever size was run
+parity, batch-file parity over at least two decode ranges) at whatever size
+was run
 — CI runs it at a small size as a regression smoke test; the committed
 reference numbers live in ``benchmarks/results/bench_columnar.json``.
 """
@@ -58,6 +63,7 @@ if __name__ == "__main__" and __package__ is None:
 from repro.analysis.report import format_table
 from repro.core import vector
 from repro.core.api import verify
+from repro.core.columnar import columnar_of
 from repro.core.history import History
 from repro.core.preprocess import normalize
 from repro.engine import Engine, run_shard
@@ -329,7 +335,7 @@ def bench_ipc_payload(num_registers, ops_per_register, seed, out):
         outcome = run_shard(task.encode())
         result_object_bytes += len(pickle.dumps(reference, pickle.HIGHEST_PROTOCOL))
         result_column_bytes += len(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
-        decoded = dict(outcome.resolve(dict(task.items)).results)
+        decoded = dict(outcome.resolve({key: columnar_of(h) for key, h in task.items}).results)
         witness_mismatches += sum(
             _result_fields(decoded.get(key)) != _result_fields(result)
             if key in decoded
@@ -365,6 +371,58 @@ def bench_ipc_payload(num_registers, ops_per_register, seed, out):
     }
 
 
+def _ranked_fields(results):
+    """Per-register result fields with witness op ids replaced by their rank
+    (ids are minted per run; their relative order must match)."""
+    out = {}
+    for key, result in results.items():
+        fields = _result_fields(result)
+        if fields[5] is not None:
+            rank = {op_id: i for i, op_id in enumerate(sorted(op[0] for op in fields[5]))}
+            fields = fields[:5] + ([(rank[op[0]],) + op[1:] for op in fields[5]],)
+        out[key] = fields
+    return out
+
+
+def bench_batch_file(num_registers, ops_per_register, seed, out):
+    """``verify_file`` on JSONL through the process engine vs the serial
+    object reference, field for field with witnesses.
+
+    The file must split into at least two byte ranges, so the decode round
+    runs in more than one worker task.
+    """
+    from repro.io.formats import split_jsonl
+
+    rng = random.Random(seed)
+    trace = synthetic_trace(rng, num_registers, ops_per_register)
+    engine = Engine(executor="processes", jobs=2)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.jsonl"
+        count = dump_jsonl(trace, path)
+        ranges = len(split_jsonl(path, engine.jobs * engine.shards_per_job))
+        file_s, report = timed(lambda: engine.verify_file(path, 2), 1)
+        reference_s, reference = timed(
+            lambda: Engine().verify_trace(load_trace(path), 2), 1
+        )
+    got, want = _ranked_fields(report.results), _ranked_fields(reference.results)
+    mismatches = sum(got.get(key) != fields for key, fields in want.items())
+    mismatches += len(set(got) - set(want))
+    print("", file=out)
+    print(
+        f"batch file ({count} ops, {ranges} decode ranges): processes verify_file "
+        f"{file_s:.3f}s vs serial object reference {reference_s:.3f}s, "
+        f"{mismatches} registers differing from the reference",
+        file=out,
+    )
+    return {
+        "total_ops": count,
+        "ranges": ranges,
+        "verify_file_s": round(file_s, 6),
+        "reference_s": round(reference_s, 6),
+        "mismatches": mismatches,
+    }
+
+
 def run(sizes, num_registers, ops_per_register, repeat, seed, json_path, check,
         check_min_speedup, check_min_numpy_speedup=None, out=sys.stdout):
     print(
@@ -377,6 +435,7 @@ def run(sizes, num_registers, ops_per_register, repeat, seed, json_path, check,
     engine = bench_engine(num_registers, ops_per_register, repeat, seed, out)
     ingestion = bench_ingestion(num_registers, ops_per_register, repeat, seed, out)
     ipc = bench_ipc_payload(num_registers, ops_per_register, seed, out)
+    batch = bench_batch_file(num_registers, ops_per_register, seed, out)
 
     record = {
         "config": {
@@ -390,6 +449,7 @@ def run(sizes, num_registers, ops_per_register, repeat, seed, json_path, check,
         "engine": engine,
         "ingestion": ingestion,
         "ipc_payload": ipc,
+        "batch_file": batch,
     }
     if json_path:
         Path(json_path).parent.mkdir(parents=True, exist_ok=True)
@@ -434,6 +494,15 @@ def run(sizes, num_registers, ops_per_register, repeat, seed, json_path, check,
                 f"{ipc['result_mismatches']} registers' decoded results differ "
                 "from the object path (verdict, stats or witness)"
             )
+        if batch["ranges"] < 2:
+            failures.append(
+                f"the batch file split into {batch['ranges']} decode range(s), not >= 2"
+            )
+        if batch["mismatches"]:
+            failures.append(
+                f"{batch['mismatches']} registers of processes verify_file differ "
+                "from the serial object reference (verdict, stats or witness)"
+            )
         print("", file=out)
         if failures:
             for failure in failures:
@@ -443,7 +512,8 @@ def run(sizes, num_registers, ops_per_register, repeat, seed, json_path, check,
             f"CHECK OK: parity held, columnar speedup {largest['speedup']:.2f}x "
             f"at {largest['ops']} ops (worst across sizes {worst:.2f}x), "
             f"{numpy_note}, payload {ipc['reduction']:.2f}x smaller, "
-            f"results {ipc['result_reduction']:.2f}x smaller with witness parity",
+            f"results {ipc['result_reduction']:.2f}x smaller with witness parity, "
+            f"verify_file over {batch['ranges']} decode ranges matches the reference",
             file=out,
         )
     return record, 0

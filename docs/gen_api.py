@@ -62,7 +62,7 @@ SECTIONS = [
     ("Trace I/O (native formats)", "repro.io.formats",
      ["stream_trace", "load_trace", "dump_jsonl", "iter_jsonl", "load_jsonl",
       "follow_jsonl", "JsonlDecoder", "dump_csv", "iter_csv", "load_csv",
-      "load_columnar"]),
+      "load_columnar", "split_jsonl", "decode_jsonl_range", "merge_ranges"]),
     ("Out-of-core traces (.rcol)", "repro.io.rcol",
      ["RcolFile", "RcolWriter", "iter_rcol", "dump_rcol"]),
     ("Format registry", "repro.io.registry",

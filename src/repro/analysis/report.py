@@ -155,6 +155,9 @@ class TraceVerificationReport:
     #: Per-register :class:`~repro.engine.tiering.TierDecision` routes, so a
     #: skipped exact check is never silent.
     tier_decisions: Mapping[str, object] = field(default_factory=dict)
+    #: Operations per register of the whole trace, in register order
+    #: (skipped registers included).
+    register_sizes: Mapping[Hashable, int] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     @property

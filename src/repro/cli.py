@@ -41,7 +41,6 @@ from typing import List, Optional
 
 from . import __version__
 from .analysis.report import audit_trace, format_table
-from .core.builder import TraceBuilder
 from .core.windows import WindowPolicy
 from .engine import Engine, StreamingEngine
 from .io.formats import dump_jsonl, follow_jsonl, iter_jsonl_handle, load_trace, stream_trace
@@ -163,24 +162,11 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
         kernel=args.kernel,
         tier=args.tier,
     )
-    from .io.registry import resolve_format
-
-    if resolve_format(args.trace, args.fmt).name == "rcol":
-        # Memory-mapped trace: let the engine ingest registers lazily instead
-        # of materialising the operation stream here.
-        from .io.rcol import RcolFile
-
-        with RcolFile(args.trace) as rcol_file:
-            op_counts = dict(rcol_file.register_sizes())
-        report = engine.verify_file(args.trace, args.k, fmt=args.fmt)
-    else:
-        # Stream the trace straight into per-register buckets; the engine
-        # shards and (optionally) parallelises verification from there.
-        builder = TraceBuilder(stream_trace(args.trace, args.fmt))
-        op_counts = builder.operation_counts()
-        report = engine.verify_trace(builder, args.k)
+    # Any format, .rcol included: the engine reads the file as columns and
+    # reports each register's size, so the trace is decoded once.
+    report = engine.verify_file(args.trace, args.k, fmt=args.fmt)
     failures = _print_results_table(
-        report.results, args.k, out, op_counts=op_counts
+        report.results, args.k, out, op_counts=report.register_sizes
     )
     if args.engine != "serial" or args.jobs or args.tier:
         # A tiered run always prints the summary: the tier hit-rates in it

@@ -41,8 +41,10 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
+from itertools import compress, repeat
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
+from . import operation as _operation
 from .errors import DuplicateValueError, MalformedOperationError
 from .history import History
 from .operation import Operation, OpType, trusted_operation
@@ -50,6 +52,8 @@ from .zones import Zone
 
 __all__ = [
     "ColumnarHistory",
+    "RowColumns",
+    "RowsByKey",
     "ClusterArrays",
     "columnar_of",
     "default_enabled",
@@ -119,6 +123,7 @@ class ColumnarHistory:
         "_clusters",
         "_anomalous",
         "_vector",
+        "row_of",
     )
 
     def __init__(self) -> None:  # populated by the classmethod constructors
@@ -146,6 +151,9 @@ class ColumnarHistory:
         # repro.core.vector; None until the vectorized kernels touch this
         # encoding.
         self._vector = None
+        # row_of[i] is the input row of canonical index i when the encoding
+        # was sorted from file-order columns (from_columns); None otherwise.
+        self.row_of: Optional[List[int]] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -213,13 +221,10 @@ class ColumnarHistory:
         :class:`Operation` objects are created; rows are validated inline
         (positive duration, positive write weights, uniquely-valued writes)
         and sorted into canonical order.  Fresh operation ids are assigned in
-        that order unless ``op_ids`` supplies them per input row.
+        input order unless ``op_ids`` supplies them per input row.
         """
-        materialised = [
-            (s, f, seq, w, v, c, wt)
-            for seq, (w, v, s, f, c, wt) in enumerate(rows)
-        ]
-        for s, f, seq, w, v, c, wt in materialised:
+        rows_by_key = RowsByKey()
+        for seq, (w, v, s, f, c, wt) in enumerate(rows):
             if f <= s:
                 raise MalformedOperationError(
                     f"operation row {seq} has finish {f!r} <= start {s!r}; "
@@ -230,45 +235,15 @@ class ColumnarHistory:
                     f"write row {seq} has non-positive weight {wt!r}; "
                     "weights must be positive integers (Section V)"
                 )
+            rows_by_key.add(key, w, v, s, f, c, wt, seq)
+        (part,) = rows_by_key.registers() or [RowColumns(key)]
+        part.check_writes()  # an unhashable value raises here
         if op_ids is None:
-            # Fresh ids are assigned in sorted order below, so the input
-            # sequence number is the correct (start, finish, id) tie-breaker.
-            materialised.sort(key=lambda row: (row[0], row[1], row[2]))
-        else:
-            # Caller-supplied ids must drive tie-breaking exactly as
-            # History's (start, finish, op_id) sort would.
-            materialised.sort(key=lambda row: (row[0], row[1], op_ids[row[2]]))
-        col = cls()
-        col.key = key
-        col.n = len(materialised)
-        col._ops = [None] * col.n
-        col.start = array("d", [row[0] for row in materialised])
-        col.finish = array("d", [row[1] for row in materialised])
-        col.is_write = bytearray(1 if row[3] else 0 for row in materialised)
-        col.has_key = bytearray(col.n) if key is None else bytearray(b"\x01" * col.n)
-        if op_ids is None:
-            col.op_ids = array("q", [_next_op_id() for _ in range(col.n)])
-        else:
-            col.op_ids = array("q", [op_ids[row[2]] for row in materialised])
-        col.weights = array("q", [row[6] for row in materialised])
-        value_table: Dict[Hashable, int] = {}
-        assign_value = value_table.setdefault
-        col.value_id = array(
-            "i", [assign_value(row[4], len(value_table)) for row in materialised]
-        )
-        col.values = list(value_table)
-        client_table: Dict[Hashable, int] = {}
-        assign_client = client_table.setdefault
-        col.client_id = array(
-            "i",
-            [
-                -1 if row[5] is None else assign_client(row[5], len(client_table))
-                for row in materialised
-            ],
-        )
-        col.clients = list(client_table)
-        col._finalize()
-        return col
+            # Through the module: a counter rebound by ensure_op_ids_above
+            # must be honoured.
+            op_ids = _operation.reserve_op_ids(len(part))
+        part.op_ids = array("q", op_ids)
+        return part.canonical()
 
     def _finalize(self) -> None:
         """Build the derived index columns (writer table, dictating links)."""
@@ -386,7 +361,13 @@ class ColumnarHistory:
 
     @classmethod
     def from_columns(cls, columns: Tuple) -> "ColumnarHistory":
-        """Rebuild an encoding from :meth:`to_columns` output."""
+        """Rebuild an encoding from :meth:`to_columns` output.
+
+        Rows that are not in canonical (start, finish, op id) order — the
+        file-order columns of :meth:`RowColumns.to_columns` — are sorted
+        here; :attr:`row_of` then maps each canonical index back to its input
+        row.
+        """
         (
             key,
             n,
@@ -431,8 +412,21 @@ class ColumnarHistory:
             col.weights = array("q")
             col.weights.frombytes(weights)
         col.values = values
+        sort_keys = list(zip(col.start, col.finish, col.op_ids))
+        order = sorted(range(n), key=sort_keys.__getitem__)
+        if order != list(range(n)):
+            col._permute(order)
         col._finalize()
         return col
+
+    def _permute(self, order: List[int]) -> None:
+        """Reorder every per-operation column so index ``i`` is row ``order[i]``."""
+        for name in ("start", "finish", "value_id", "client_id", "op_ids", "weights"):
+            column = getattr(self, name)
+            setattr(self, name, array(column.typecode, map(column.__getitem__, order)))
+        self.is_write = bytearray(map(self.is_write.__getitem__, order))
+        self.has_key = bytearray(map(self.has_key.__getitem__, order))
+        self.row_of = order
 
     def to_history(self) -> History:
         """Materialise the :class:`History` view of this encoding.
@@ -504,10 +498,211 @@ class ColumnarHistory:
         return f"<ColumnarHistory{key} |ops|={self.n} writes={len(self.writes_idx)}>"
 
 
-def _next_op_id() -> int:
-    from .operation import _OP_COUNTER
+class RowColumns:
+    """One register's operations as parallel columns in file order.
 
-    return next(_OP_COUNTER)
+    The ingestion-side twin of :class:`ColumnarHistory`: rows stay in the
+    order they were read, nothing is sorted or cross-checked, and
+    ``value_id``/``client_id`` index this object's own interning tables.
+    :class:`RowsByKey` fills one per register; the batch decoder
+    (:func:`repro.io.formats.decode_jsonl_range`) does so per byte range,
+    with ``op_ids`` holding record numbers within the range, and
+    :meth:`concat` joins a register's pieces in file order.
+    :meth:`to_columns` ships the rows in :meth:`ColumnarHistory.to_columns`
+    layout, and :meth:`operations` decodes rows — the host builds only
+    witness operations that way.
+    """
+
+    __slots__ = (
+        "key",
+        "is_write",
+        "start",
+        "finish",
+        "value_id",
+        "values",
+        "client_id",
+        "clients",
+        "weights",
+        "op_ids",
+        "error",
+    )
+
+    def __init__(self, key: Optional[Hashable] = None) -> None:
+        self.key = key
+        self.is_write = bytearray()
+        self.start = array("d")
+        self.finish = array("d")
+        self.value_id = array("i")
+        self.values: List[Hashable] = []
+        self.client_id = array("i")
+        self.clients: List[Hashable] = []
+        self.weights = array("q")
+        self.op_ids = array("q")
+        #: What building this register must raise (an unhashable value),
+        #: deferred to where a History build would raise it.
+        self.error: Optional[BaseException] = None
+
+    def __len__(self) -> int:
+        return len(self.is_write)
+
+    @classmethod
+    def concat(cls, parts: Sequence[Tuple["RowColumns", int]]) -> "RowColumns":
+        """Join one register's ``(piece, id offset)`` pairs, in file order.
+
+        Adding a piece's offset to its ``op_ids`` (record numbers) makes them
+        op ids; values and clients are re-interned into one table each.
+        """
+        rows = cls(parts[0][0].key)
+        values: Dict[Hashable, int] = {}
+        clients: Dict[Hashable, int] = {}
+        for part, offset in parts:
+            rows.error = rows.error or part.error
+            rows.is_write += part.is_write
+            rows.start += part.start
+            rows.finish += part.finish
+            rows.weights += part.weights
+            rows.op_ids.extend(map(offset.__add__, part.op_ids))
+            remap = [values.setdefault(v, len(values)) for v in part.values]
+            rows.value_id.extend(map(remap.__getitem__, part.value_id))
+            remap = [_intern(clients, rows.clients, c) for c in part.clients]
+            remap.append(-1)  # client id -1 (no client) indexes the last slot
+            rows.client_id.extend(map(remap.__getitem__, part.client_id))
+        rows.values = list(values)
+        return rows
+
+    def operations(self, indices: Sequence[int]) -> List[Operation]:
+        """Decode the operations of the given rows, in that order."""
+
+        def pick(column):
+            return map(column.__getitem__, indices)
+
+        return list(
+            map(
+                _row_operation,
+                map(_OP_TYPES.__getitem__, pick(self.is_write)),
+                map(self.values.__getitem__, pick(self.value_id)),
+                pick(self.start),
+                pick(self.finish),
+                repeat(self.key),
+                # Client id -1 (no client) indexes the appended None.
+                map((self.clients + [None]).__getitem__, pick(self.client_id)),
+                pick(self.op_ids),
+                pick(self.weights),
+            )
+        )
+
+    def to_columns(self) -> Tuple:
+        """The rows in :meth:`ColumnarHistory.to_columns` layout (file order)."""
+        n = len(self)
+        return (
+            self.key,
+            n,
+            self.start.tobytes(),
+            self.finish.tobytes(),
+            bytes(self.is_write),
+            0 if self.key is None else 1,
+            self.value_id.tobytes(),
+            self.client_id.tobytes() if self.clients else None,
+            self.op_ids.tobytes(),
+            None if self.weights.count(1) == n else self.weights.tobytes(),
+            self.values,
+            self.clients or None,
+        )
+
+    def check_writes(self) -> None:
+        """Raise what building this register's :class:`History` would raise.
+
+        The deferred :attr:`error` first; then, when two writes share a
+        value, the canonical encoding's :class:`DuplicateValueError`, which
+        names the same pair of operations.
+        """
+        if self.error is not None:
+            raise self.error
+        written = array("i", compress(self.value_id, self.is_write))
+        if len(set(written)) != len(written):
+            self.canonical()
+
+    def canonical(self) -> "ColumnarHistory":
+        """The register's canonical :class:`ColumnarHistory`."""
+        return ColumnarHistory.from_columns(self.to_columns())
+
+
+class RowsByKey:
+    """Appends rows to one :class:`RowColumns` per register key, interning
+    values and clients as they arrive; keys keep first-appearance order."""
+
+    __slots__ = ("_registers",)
+
+    def __init__(self) -> None:
+        self._registers: Dict[Hashable, Tuple[RowColumns, Dict, Dict]] = {}
+
+    def add(self, key, is_write, value, start, finish, client, weight, op_id) -> None:
+        """Append one row; an unhashable ``key`` raises ``TypeError``."""
+        entry = self._registers.get(key)
+        if entry is None:
+            entry = self._registers[key] = (RowColumns(key), {}, {})
+        rows, values, clients = entry
+        try:
+            value_id = values.get(value)
+        except TypeError as exc:  # a History hashes every value
+            rows.error = rows.error or exc
+            return
+        if value_id is None:
+            value_id = values[value] = len(values)
+            rows.values.append(value)
+        rows.is_write.append(1 if is_write else 0)
+        rows.start.append(start)
+        rows.finish.append(finish)
+        rows.value_id.append(value_id)
+        rows.client_id.append(-1 if client is None else _intern(clients, rows.clients, client))
+        rows.weights.append(weight if is_write else 1)
+        rows.op_ids.append(op_id)
+
+    def registers(self) -> List[RowColumns]:
+        """The per-register columns, in first-appearance order."""
+        return [rows for rows, _, _ in self._registers.values()]
+
+
+_OP_TYPES = (OpType.READ, OpType.WRITE)
+_new_object = object.__new__
+
+
+def _row_operation(op_type, value, start, finish, key, client, op_id, weight) -> Operation:
+    """:func:`~repro.core.operation.trusted_operation` for decoded rows.
+
+    Filling the instance dict directly skips the frozen dataclass's
+    ``__setattr__`` guard like ``object.__setattr__`` does, at half the cost;
+    a batch audit decodes every YES witness this way, tens of thousands of
+    operations per report.
+    """
+    op = _new_object(Operation)
+    fields = op.__dict__
+    fields["op_type"] = op_type
+    fields["value"] = value
+    fields["start"] = start
+    fields["finish"] = finish
+    fields["key"] = key
+    fields["client"] = client
+    fields["op_id"] = op_id
+    fields["weight"] = weight
+    return op
+
+
+def _intern(index: Dict[Hashable, int], table: List[Hashable], item: Hashable) -> int:
+    """The id of ``item`` in ``table``, appending it when new.
+
+    Clients need not be hashable (a :class:`History` never hashes them), so an
+    unhashable client gets a fresh slot instead of a lookup.
+    """
+    try:
+        item_id = index.get(item)
+    except TypeError:
+        table.append(item)
+        return len(table) - 1
+    if item_id is None:
+        item_id = index[item] = len(table)
+        table.append(item)
+    return item_id
 
 
 def columnar_of(history: History) -> ColumnarHistory:

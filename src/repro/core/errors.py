@@ -112,6 +112,18 @@ class SessionIdleTimeout(RetryableServiceError):
     code = "idle_timeout"
 
 
+class SessionBusy(RetryableServiceError):
+    """The session id is still held by another connection.
+
+    A client that reconnects (with ``resume``) right after a dropped frame
+    can reach the server before the old connection's handler has released
+    the session; the hold ends when that handler finishes, so retrying after
+    a backoff succeeds.
+    """
+
+    code = "session_busy"
+
+
 class WorkerCrashLoopError(ServiceError):
     """A pool worker kept dying on respawn; its shards are failed, not retried.
 

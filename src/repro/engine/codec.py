@@ -4,25 +4,27 @@ Both directions of a process-executor shard travel as *columns*, never as
 pickled :class:`~repro.core.operation.Operation` object graphs (well over a
 hundred bytes and a lot of pickler time per operation).
 
-**Tasks** (:func:`encode_shard_items`).  Each register history is converted to
-its columnar encoding (:meth:`~repro.core.columnar.ColumnarHistory.to_columns`
-— raw ``array`` buffers plus the small interning side tables) and the whole
-shard is pickled as a flat list of those tuples: roughly 40–50 bytes per
-operation.  The worker verifies each register straight from those columns
-(:meth:`~repro.core.columnar.ColumnarHistory.from_columns` and
-:func:`repro.core.vector.columnar_verdict`); it builds no ``History`` and
-decodes no operation on the numpy YES path.
+**Tasks** (:func:`encode_shard_columns`).  Each register travels in the
+:meth:`~repro.core.columnar.ColumnarHistory.to_columns` layout — raw
+``array`` buffers plus the small interning side tables — and the whole shard
+is pickled as a flat list of those tuples: roughly 35–50 bytes per
+operation.  A batch file's registers go in file order
+(:meth:`~repro.core.columnar.RowColumns.to_columns`); a history's go in
+canonical order (:func:`encode_shard_items`).  The worker sorts each
+register into canonical order with one sort
+(:meth:`~repro.core.columnar.ColumnarHistory.from_columns`) and verifies it
+straight from its columns (:func:`repro.core.vector.columnar_verdict`); it
+builds no ``History`` and decodes no operation on the numpy YES path.
 
 **Results** (:func:`encode_shard_results`).  Verdict, algorithm, reason and
 stats travel as plain values; a YES witness travels as an ``int32`` array of
-positions into the register's canonical order, plus the normalised start and
-finish times of the positions that normalisation moved.  A fallback result
-whose witness the worker did decode (timestamp ties, LBT, the exact oracle,
-non-numpy kernels) is encoded the same way, by op id → position.  The host
-holds every register's :class:`~repro.core.history.History` and rebuilds each
-witness from those operations (:func:`decode_shard_results`), with copies
-carrying the moved times: about 4 bytes per witness operation instead of a
-pickled operation.
+row positions in the order the register was shipped, plus the normalised
+start and finish times of the rows that normalisation moved.  A fallback
+result whose witness the worker did decode (timestamp ties, LBT, the exact
+oracle, non-numpy kernels) is encoded the same way, by op id → position.
+The host keeps the columns it shipped and decodes only the witness
+operations from them (:func:`decode_shard_results`), with the moved times:
+about 4 bytes per witness operation instead of a pickled operation.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from ..core.result import VerificationResult
 
 __all__ = [
     "encode_shard_items",
+    "encode_shard_columns",
     "decode_shard_items",
     "decode_shard_columns",
     "encode_shard_results",
@@ -60,10 +63,15 @@ def encode_shard_items(
     items: Sequence[Tuple[Hashable, History]]
 ) -> bytes:
     """Serialise ``(key, History)`` pairs as compact column buffers."""
-    payload = [
-        (key, columnar_of(history).to_columns()) for key, history in items
-    ]
-    return pickle.dumps((_CODEC_VERSION, payload), protocol=pickle.HIGHEST_PROTOCOL)
+    return encode_shard_columns(
+        [(key, columnar_of(history).to_columns()) for key, history in items]
+    )
+
+
+def encode_shard_columns(registers: Sequence[Tuple[Hashable, Tuple]]) -> bytes:
+    """Serialise ``(key, columns)`` pairs in :meth:`ColumnarHistory.to_columns`
+    layout; the rows may be in any order (:meth:`ColumnarHistory.from_columns`)."""
+    return pickle.dumps((_CODEC_VERSION, list(registers)), protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def decode_shard_columns(blob: bytes) -> List[Tuple[Hashable, ColumnarHistory]]:
@@ -110,11 +118,30 @@ def encode_shard_results(entries: Iterable[Tuple[Hashable, ColumnarHistory, Any]
 
 
 def _encode_witness(col: ColumnarHistory, verdict: Any) -> Optional[Tuple]:
-    """``(positions, moved)`` for a witness, ``None`` without one.
+    """``(rows, moved)`` for a witness, ``None`` without one.
 
+    ``rows`` index the register's columns as the worker received them.
     ``moved`` is ``None`` when every witness operation keeps its times, else
-    ``(positions, starts, finishes)`` of the operations normalisation moved.
+    ``(rows, starts, finishes)`` of the operations normalisation moved.
     """
+    encoded = _encode_positions(col, verdict)
+    if encoded is None or col.row_of is None:
+        return encoded
+    positions, moved = encoded
+    if moved is not None:
+        moved = (_to_rows(moved[0], col.row_of), *moved[1:])
+    return _to_rows(positions, col.row_of), moved
+
+
+def _to_rows(positions_b: bytes, row_of: Sequence[int]) -> bytes:
+    """Map packed canonical positions to the input rows they came from."""
+    positions = array("i")
+    positions.frombytes(positions_b)
+    return array("i", map(row_of.__getitem__, positions)).tobytes()
+
+
+def _encode_positions(col: ColumnarHistory, verdict: Any) -> Optional[Tuple]:
+    """:func:`_encode_witness` in canonical positions."""
     if verdict.positions is not None:
         positions = verdict.positions
         moved = None
@@ -154,12 +181,14 @@ def _encode_witness(col: ColumnarHistory, verdict: Any) -> Optional[Tuple]:
 
 
 def decode_shard_results(
-    blob: bytes, histories: Mapping[Hashable, History]
+    blob: bytes, columns: Mapping[Hashable, Any]
 ) -> List[Tuple[Hashable, VerificationResult]]:
     """Rebuild the ``(key, VerificationResult)`` pairs of :func:`encode_shard_results`.
 
-    ``histories`` maps every register key in the shard to the history the
-    task was built from; witnesses are rebuilt from its operations.
+    ``columns`` maps every register key in the shard to the columns the task
+    was encoded from — a :class:`~repro.core.columnar.RowColumns` or
+    :class:`~repro.core.columnar.ColumnarHistory`, rows in the order they
+    were shipped; witness operations are decoded from its rows.
     """
     version, payload = pickle.loads(blob)
     if version != _RESULT_CODEC_VERSION:
@@ -170,7 +199,7 @@ def decode_shard_results(
     results = []
     for key, ok, k, algorithm, reason, stats, witness in payload:
         if witness is not None:
-            witness = _decode_witness(histories[key].operations, *witness)
+            witness = _decode_witness(columns[key], *witness)
         results.append(
             (
                 key,
@@ -188,30 +217,31 @@ def decode_shard_results(
 
 
 def _decode_witness(
-    ops: Sequence[Operation], positions_b: bytes, moved: Optional[Tuple]
+    rows: Any, positions_b: bytes, moved: Optional[Tuple]
 ) -> Tuple[Operation, ...]:
     positions = array("i")
     positions.frombytes(positions_b)
+    ops = rows.operations(positions)
     if moved is not None:
-        ops = list(ops)
         at, starts, finishes = array("i"), array("d"), array("d")
         at.frombytes(moved[0])
         starts.frombytes(moved[1])
         finishes.frombytes(moved[2])
-        for i, start, finish in zip(at, starts, finishes):
-            op = ops[i]
-            # The worker's normalisation kept finish > start.
-            ops[i] = trusted_operation(
-                op.op_type,
-                op.value,
-                start,
-                finish,
-                key=op.key,
-                client=op.client,
-                op_id=op.op_id,
-                weight=op.weight,
-            )
-    return tuple([ops[i] for i in positions])
+        times = dict(zip(at, zip(starts, finishes)))
+        for n, i in enumerate(positions):
+            if i in times:
+                op = ops[n]
+                # The worker's normalisation kept finish > start.
+                ops[n] = trusted_operation(
+                    op.op_type,
+                    op.value,
+                    *times[i],
+                    key=op.key,
+                    client=op.client,
+                    op_id=op.op_id,
+                    weight=op.weight,
+                )
+    return tuple(ops)
 
 
 # ----------------------------------------------------------------------

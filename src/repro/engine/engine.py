@@ -2,22 +2,34 @@
 
 Pipeline (each stage pluggable):
 
-1. **Ingestion** — the trace arrives as a :class:`~repro.core.history.MultiHistory`,
-   a streaming :class:`~repro.core.builder.TraceBuilder`, or a raw iterable of
-   operations; it is normalised into per-register work without building any
-   global index.
+1. **Ingestion** — a trace *file* (:meth:`Engine.verify_file`) is read as
+   per-register columns and never as one operation object per record.  JSONL
+   is cut into newline-aligned byte ranges that a decode round on the
+   engine's own executor turns into column fragments
+   (:func:`repro.io.formats.decode_jsonl_range`); other row formats build the
+   same fragments on the host from their operation stream.  The host joins
+   the fragments in file order, mints op ids in that order and raises what
+   loading the file would raise (:func:`repro.io.formats.merge_ranges`).
+   ``.rcol`` files stay on disk until each worker maps its registers.  An
+   in-memory trace (:meth:`Engine.verify_trace`: a
+   :class:`~repro.core.history.MultiHistory`, a
+   :class:`~repro.core.builder.TraceBuilder` or a raw iterable of operations)
+   takes the reference object path, one
+   :class:`~repro.core.history.History` per register.
 2. **Sharding** — a :mod:`partitioner <repro.engine.partition>` groups
    registers into shard tasks.
 3. **Execution** — an :mod:`executor <repro.engine.executors>` runs the shard
-   tasks serially, on a thread pool, or on a process pool.  In-process shards
-   verify their histories with the unified :func:`repro.core.api.verify`
-   entry point (the reference object path); shards crossing the process
-   boundary travel as columns (:mod:`repro.engine.codec`) and are verified
-   from those columns by :func:`repro.core.vector.columnar_verdict`.
-4. **Aggregation** — shard results stream back in completion order (process
-   results as columns, witnesses rebuilt from the host's histories) and are
-   merged into a :class:`~repro.analysis.report.TraceVerificationReport`,
-   optionally short-circuiting on the first failing register.
+   tasks serially, on a thread pool, or on a process pool.  In-process
+   history shards verify with the unified :func:`repro.core.api.verify`
+   entry point (the reference object path); file shards, and history shards
+   crossing the process boundary, travel as columns
+   (:mod:`repro.engine.codec`) and are sorted and verified from those
+   columns by :func:`repro.core.vector.columnar_verdict`.
+4. **Aggregation** — shard results stream back in completion order (column
+   results with witnesses as row positions, decoded into operations from the
+   host's columns) and are merged into a
+   :class:`~repro.analysis.report.TraceVerificationReport`, optionally
+   short-circuiting on the first failing register.
 
 Correctness rests on the paper's locality theorem (Section II-B): a
 multi-register trace is k-atomic iff every per-register projection is, so the
@@ -52,10 +64,12 @@ __all__ = [
 
 # Re-exported so the engine can be configured without importing core.api.
 from ..core.api import DEFAULT_MAX_EXACT_OPS
+from ..core.columnar import columnar_of
 from .codec import (
     decode_shard_columns,
     decode_shard_items,
     decode_shard_results,
+    encode_shard_columns,
     encode_shard_items,
     encode_shard_results,
 )
@@ -183,11 +197,16 @@ class ShardOutcome:
         """True iff any register in the shard failed verification."""
         return any(not r for _, r in self.results)
 
-    def resolve(self, histories: Mapping[Hashable, History]) -> "ShardOutcome":
-        """Decode :attr:`payload` against the host's register histories."""
+    def resolve(self, columns: Mapping[Hashable, object]) -> "ShardOutcome":
+        """Decode :attr:`payload` against the host's register columns.
+
+        ``columns`` maps each register key to the columns the shard was
+        encoded from (a :class:`~repro.core.columnar.RowColumns` or
+        :class:`~repro.core.columnar.ColumnarHistory`).
+        """
         if self.payload is None:
             return self
-        results = tuple(decode_shard_results(self.payload, histories))
+        results = tuple(decode_shard_results(self.payload, columns))
         return replace(self, results=results, payload=None)
 
 
@@ -234,6 +253,14 @@ def _rcol_registers(task: RcolShardTask) -> Iterator[Tuple[Hashable, object]]:
     with RcolFile(task.path) as rf:
         for key in task.keys:
             yield key, rf.load_columnar(key)
+
+
+def _decode_range(task: Tuple[int, str, int, int]) -> Tuple[int, object]:
+    """Decode-round worker: one byte range of a JSONL trace, as columns."""
+    from ..io.formats import decode_jsonl_range
+
+    index, path, begin, end = task
+    return index, decode_jsonl_range(path, begin, end)
 
 
 def run_shard(
@@ -412,28 +439,32 @@ class Engine:
     # ------------------------------------------------------------------
     def plan(self, registers: "List[Tuple[Hashable, History]]", k: int) -> List[ShardTask]:
         """Partition registers into shard tasks (exposed for inspection)."""
-        sized = [(key, len(history)) for key, history in registers]
-        num_shards = max(1, min(len(sized), self.jobs * self.shards_per_job))
-        assignment = self.partitioner.partition(sized, num_shards)
         by_key = dict(registers)
-        tasks: List[ShardTask] = []
+        return [
+            ShardTask(items=tuple((key, by_key[key]) for key in keys), **fields)
+            for keys, fields in self._shards([(key, len(h)) for key, h in registers], k)
+        ]
+
+    def _shards(self, sized: "List[Tuple[Hashable, int]]", k: int) -> Iterator[Tuple[List, Dict]]:
+        """Partition ``(key, size)`` registers; yield each shard's keys and
+        the task fields every shard kind shares."""
+        num_shards = max(1, min(len(sized), self.jobs * self.shards_per_job))
+        assignment = self.partitioner.partition(sized, num_shards) if sized else []
+        shard_id = 0
         for keys in assignment:
             if not keys:
                 continue
-            tasks.append(
-                ShardTask(
-                    shard_id=len(tasks),
-                    items=tuple((key, by_key[key]) for key in keys),
-                    k=k,
-                    algorithm=self.algorithm,
-                    preprocess=self.preprocess,
-                    max_exact_ops=self.max_exact_ops,
-                    columnar=self.columnar,
-                    kernel=self.kernel,
-                    tier=self.tier,
-                )
+            yield keys, dict(
+                shard_id=shard_id,
+                k=k,
+                algorithm=self.algorithm,
+                preprocess=self.preprocess,
+                max_exact_ops=self.max_exact_ops,
+                columnar=self.columnar,
+                kernel=self.kernel,
+                tier=self.tier,
             )
-        return tasks
+            shard_id += 1
 
     # ------------------------------------------------------------------
     # Execution + aggregation
@@ -445,68 +476,89 @@ class Engine:
 
         ``fmt`` names a format from the registry (``"jsonl"``, ``"csv"``,
         ``"jepsen"``, ``"porcupine"``, ...); ``None`` sniffs the extension.
-        Row formats are streamed straight into per-register buckets — foreign
-        event histories included — and verified like any other trace.
-        Memory-mapped ``.rcol`` traces take the out-of-core route instead:
-        shard tasks carry only the path and register keys, and workers map
-        their registers' columns lazily (no full materialisation).
+        A file is read as columns, never as one operation object per record:
+        JSONL in a decode round on this engine's executor, one newline-aligned
+        byte range per task (:func:`repro.io.formats.decode_jsonl_range`);
+        every other row format from its operation stream on the host.  The
+        host joins the ranges in file order, raises what loading the file
+        would raise, and ships each shard's file-order columns to the verify
+        round; only witness operations are ever built.  Memory-mapped
+        ``.rcol`` traces take the out-of-core route instead: shard tasks carry
+        only the path and register keys, and workers map their registers'
+        columns lazily.
         """
-        from ..io.registry import resolve_format, stream_trace  # io builds on the engine's inputs
+        from ..io import formats
+        from ..io.registry import resolve_format  # io builds on the engine's inputs
 
-        if resolve_format(path, fmt).name == "rcol":
+        spec = resolve_format(path, fmt)
+        if spec.name == "rcol":
             return self._verify_rcol_file(path, k)
-        return self.verify_trace(TraceBuilder(stream_trace(path, fmt)), k)
+        if spec.name == "jsonl":
+            spans = formats.split_jsonl(path, self.jobs * self.shards_per_job)
+            tasks = [(index, str(path), begin, end) for index, (begin, end) in enumerate(spans)]
+            decoded = dict(self.executor.run(_decode_range, tasks, self.jobs))
+            ranges = [decoded[index] for index in range(len(tasks))]
+        else:
+            ranges = [formats.operations_range(spec.reader(path))]
+        registers = formats.merge_ranges(path, ranges)
+        sizes = {key: len(rows) for key, rows in registers.items()}
+        tasks = [
+            EncodedShardTask(
+                payload=encode_shard_columns([(key, registers[key].to_columns()) for key in keys]),
+                num_ops=sum(sizes[key] for key in keys),
+                **fields,
+            )
+            for keys, fields in self._shards(list(sizes.items()), k)
+        ]
+        return self._execute(tasks, sizes, k, columns=registers)
 
     def _verify_rcol_file(self, path, k: int) -> TraceVerificationReport:
         """Verify an ``.rcol`` trace out-of-core: shards carry the file path
         and register keys, and each worker memory-maps only its share."""
         from ..io.rcol import RcolFile
 
-        rf = RcolFile(path)
-        sized = rf.register_sizes()
-        rf.close()
-        key_order = [key for key, _ in sized]
+        with RcolFile(path) as rf:
+            sized = rf.register_sizes()
         size_of = dict(sized)
-        num_shards = max(1, min(len(sized), self.jobs * self.shards_per_job))
-        assignment = self.partitioner.partition(sized, num_shards) if sized else []
-        tasks: List[RcolShardTask] = []
-        for keys in assignment:
-            if not keys:
-                continue
-            tasks.append(
-                RcolShardTask(
-                    shard_id=len(tasks),
-                    path=str(path),
-                    keys=tuple(keys),
-                    num_ops=sum(size_of[key] for key in keys),
-                    k=k,
-                    algorithm=self.algorithm,
-                    preprocess=self.preprocess,
-                    max_exact_ops=self.max_exact_ops,
-                    columnar=self.columnar,
-                    kernel=self.kernel,
-                    tier=self.tier,
-                )
+        tasks = [
+            RcolShardTask(
+                path=str(path),
+                keys=tuple(keys),
+                num_ops=sum(size_of[key] for key in keys),
+                **fields,
             )
-        return self._execute(tasks, key_order, k)
+            for keys, fields in self._shards(sized, k)
+        ]
+        return self._execute(tasks, size_of, k)
 
     def verify_trace(self, trace: TraceLike, k: int) -> TraceVerificationReport:
-        """Verify every register of ``trace`` and aggregate the results."""
+        """Verify every register of ``trace`` and aggregate the results.
+
+        The reference object path: each register is a
+        :class:`~repro.core.history.History`, verified as is in process and
+        from its canonical columns across the process boundary.
+        """
         registers = self._as_register_histories(trace)
-        key_order = [key for key, _ in registers]
         tasks: List[Union[ShardTask, EncodedShardTask]] = list(self.plan(registers, k))
+        columns = None
         if self.executor.crosses_process_boundary:
             tasks = [task.encode() for task in tasks]
-        return self._execute(tasks, key_order, k, histories=dict(registers))
+            columns = {key: columnar_of(history) for key, history in registers}
+        sizes = {key: len(history) for key, history in registers}
+        return self._execute(tasks, sizes, k, columns=columns)
 
     def _execute(
         self,
         tasks,
-        key_order,
+        sizes: Mapping[Hashable, int],
         k: int,
-        histories: Optional[Mapping[Hashable, History]] = None,
+        columns: Optional[Mapping[Hashable, object]] = None,
     ) -> TraceVerificationReport:
-        """Run planned shard tasks and merge their outcomes into a report."""
+        """Run planned shard tasks and merge their outcomes into a report.
+
+        ``sizes`` maps every register key to its operation count, in the
+        trace's register order.
+        """
         merged: Dict[Hashable, VerificationResult] = {}
         stats: List[ShardStats] = []
         tier_stats = TierStats() if self.tier is not None else None
@@ -515,7 +567,7 @@ class Engine:
         outcome_stream = self.executor.run(run_shard, tasks, self.jobs)
         try:
             for outcome in outcome_stream:
-                outcome = outcome.resolve(histories)
+                outcome = outcome.resolve(columns)
                 merged.update(outcome.results)
                 stats.append(
                     ShardStats(
@@ -535,8 +587,8 @@ class Engine:
             outcome_stream.close()
         elapsed = time.perf_counter() - t0
 
-        results = {key: merged[key] for key in key_order if key in merged}
-        skipped = tuple(key for key in key_order if key not in merged)
+        results = {key: merged[key] for key in sizes if key in merged}
+        skipped = tuple(key for key in sizes if key not in merged)
         return TraceVerificationReport(
             k=k,
             results=results,
@@ -550,4 +602,5 @@ class Engine:
             tier=self.tier_name,
             tier_stats=tier_stats.to_dict() if tier_stats is not None else {},
             tier_decisions=tier_decisions,
+            register_sizes=dict(sizes),
         )

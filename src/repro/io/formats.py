@@ -28,13 +28,14 @@ from __future__ import annotations
 import codecs
 import csv
 import json
+import os
 import time
-from collections import defaultdict
 from pathlib import Path
-from typing import Dict, IO, Iterable, Iterator, List, Optional, Union
+from typing import Any, Dict, Hashable, IO, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
+from ..core import operation as _operation
 from ..core.builder import TraceBuilder
-from ..core.columnar import ColumnarHistory
+from ..core.columnar import RowColumns, RowsByKey
 from ..core.errors import TraceFormatError
 from ..core.history import History, MultiHistory
 from ..core.operation import Operation, OpType, trusted_operation
@@ -54,6 +55,11 @@ __all__ = [
     "stream_trace",
     "load_trace",
     "load_columnar",
+    "DecodedRange",
+    "split_jsonl",
+    "decode_jsonl_range",
+    "operations_range",
+    "merge_ranges",
 ]
 
 _CSV_FIELDS = ["op_type", "key", "value", "start", "finish", "client", "weight"]
@@ -99,26 +105,6 @@ def _fast_operation_from_record(record: Dict) -> Operation:
         client=record.get("client"),
         weight=weight if op_type is _WRITE else 1,
     )
-
-
-def _record_to_row(record: Dict):
-    """Decode one record to a columnar row ``(is_write, value, start, finish,
-    client, weight)`` with the same error contract as the operation readers:
-    malformed basics raise :class:`TraceFormatError`, a malformed weight
-    raises ``ValueError`` from outside the guarded block."""
-    try:
-        tag = record["op_type"]
-        if tag == "write":
-            is_write = True
-        elif tag == "read":
-            is_write = False
-        else:
-            raise ValueError(f"unknown op_type {tag!r}")
-        row_head = (record["value"], float(record["start"]), float(record["finish"]))
-    except (KeyError, ValueError, TypeError) as exc:
-        raise TraceFormatError(f"malformed operation record: {record!r}") from exc
-    weight = int(record.get("weight", 1) or 1)
-    return (is_write, *row_head, record.get("client"), weight if is_write else 1)
 
 
 def operation_to_dict(op: Operation) -> Dict:
@@ -448,47 +434,211 @@ def load_trace(path: Union[str, Path], fmt: Optional[str] = None) -> MultiHistor
 def load_columnar(path: Union[str, Path], fmt: Optional[str] = None) -> Dict:
     """Load a trace straight into per-register columnar encodings.
 
-    Operations are *not* materialised: each record's fields go directly into
-    the per-register row buckets and then into a
-    :class:`~repro.core.columnar.ColumnarHistory` per register.  Returns a
-    mapping from register key to encoding; call ``.to_history()`` on an entry
-    (or verify through the columnar kernels) as needed — the materialised
-    history arrives with its encoding pre-cached.
-
-    JSONL only takes the fully column-oriented route; every other registered
-    format (CSV, the foreign-trace adapters) reuses its operation stream —
-    per-record dict handling dominates there either way.
+    Operations are *not* materialised: JSONL is one call of the batch range
+    decoder over the whole file (:func:`decode_jsonl_range`), every other
+    registered format goes through its operation stream
+    (:func:`operations_range`), and each register is sorted into a
+    :class:`~repro.core.columnar.ColumnarHistory`.  Returns a mapping from
+    register key to encoding; call ``.to_history()`` on an entry (or verify
+    through the columnar kernels) as needed — the materialised history
+    arrives with its encoding pre-cached.  Errors are those of
+    :func:`load_trace`.
     """
     from .registry import resolve_format
 
     spec = resolve_format(path, fmt)
-    p = Path(path)
-    if spec.name != "jsonl":
-        rows_by_key: Dict = defaultdict(list)
-        for op in spec.reader(p):
-            rows_by_key[op.key].append(
-                (op.is_write, op.value, op.start, op.finish, op.client, op.weight)
-            )
+    if spec.name == "jsonl":
+        decoded = decode_jsonl_range(path)
     else:
-        rows_by_key = defaultdict(list)
-        loads = json.loads
-        to_row = _record_to_row
-        with open(p, "r", encoding="utf-8") as fh:
-            for line_number, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = loads(line)
-                except json.JSONDecodeError as exc:
-                    raise TraceFormatError(
-                        f"{p}:{line_number}: invalid JSON: {exc}"
-                    ) from exc
-                rows_by_key[record.get("key")].append(to_row(record))
-    return {
-        key: ColumnarHistory.from_rows(rows, key=key)
-        for key, rows in rows_by_key.items()
-    }
+        decoded = operations_range(spec.reader(path))
+    return {key: rows.canonical() for key, rows in merge_ranges(path, [decoded]).items()}
+
+
+# ----------------------------------------------------------------------
+# Columns from the first byte: the batch decoder
+# ----------------------------------------------------------------------
+class DecodedRange(NamedTuple):
+    """One byte range of a trace, decoded into per-register columns.
+
+    ``registers`` holds a :class:`~repro.core.columnar.RowColumns` per
+    register key in first-appearance order; their ``op_ids`` are record
+    numbers within the range.  ``error`` is ``None`` or the range's first
+    failure as data, ``(line, kind, detail)`` with ``line`` counted from the
+    range's first line: :func:`merge_ranges` raises it with the file-wide line
+    number, exactly as :func:`iter_jsonl` would.
+    """
+
+    records: int
+    lines: int
+    registers: List[RowColumns]
+    error: Optional[Tuple[int, str, Any]] = None
+
+
+_scan_once = json.JSONDecoder().scan_once
+
+
+def split_jsonl(path: Union[str, Path], parts: int) -> List[Tuple[int, int]]:
+    r"""Cut a file into at most ``parts`` byte ranges ``[start, end)``.
+
+    Every range but the last ends just after a ``\n`` byte, so no line —
+    nor a ``\r\n`` pair, nor a multi-byte UTF-8 character — straddles two
+    ranges.
+    """
+    size = os.path.getsize(path)
+    bounds = [0]
+    with open(path, "rb") as fh:
+        for i in range(1, parts):
+            target = max(size * i // parts, bounds[-1] + 1)
+            if target >= size:
+                break
+            fh.seek(target - 1)
+            while True:
+                block = fh.read(1 << 16)
+                newline = block.find(b"\n")
+                if newline >= 0 or not block:
+                    break
+            if newline < 0:
+                break
+            cut = fh.tell() - len(block) + newline + 1
+            if cut >= size:
+                break
+            bounds.append(cut)
+    bounds.append(size)
+    return list(zip(bounds, bounds[1:]))
+
+
+def decode_jsonl_range(
+    path: Union[str, Path], start: int = 0, end: Optional[int] = None
+) -> DecodedRange:
+    r"""Decode the JSON Lines records in bytes ``[start, end)`` of ``path``.
+
+    ``start`` must begin a line (:func:`split_jsonl`).  Lines split as
+    text-mode iteration splits them (``\n``, ``\r\n``, lone ``\r``) — never
+    at U+2028/U+0085 inside a string.  A line whose whole text the C scanner
+    consumes is one record as is; every other line is stripped, skipped when
+    blank and parsed with :func:`json.loads`, as :func:`iter_jsonl` does.
+    Records are checked like :func:`iter_jsonl` checks them; the first
+    failure stops the range and travels in :attr:`DecodedRange.error`.  No
+    :class:`Operation` is built.
+    """
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        data = fh.read(-1 if end is None else end - start)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return DecodedRange(0, 0, [], (1, "utf-8", exc))
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    rows = RowsByKey()
+    add = rows.add
+    scan = _scan_once
+    records = 0
+    for number, line in enumerate(lines, 1):
+        try:
+            record, stop = scan(line, 0)
+        except (StopIteration, json.JSONDecodeError):
+            stop = -1
+        if stop != len(line):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                return DecodedRange(records, len(lines), [], (number, "json", exc))
+        try:
+            tag = record["op_type"]
+            begin = float(record["start"])
+            finish = float(record["finish"])
+            value = record["value"]
+            weight = int(record.get("weight", 1) or 1)
+            valid = finish > begin and (tag == "read" or (tag == "write" and weight >= 1))
+        except Exception:
+            valid = False
+        if not valid:
+            try:
+                op = _fast_operation_from_record(record)
+            except Exception:
+                return DecodedRange(records, len(lines), [], (number, "record", record))
+            tag, begin, finish, value, weight = (
+                op.op_type.value, op.start, op.finish, op.value, op.weight
+            )
+        try:
+            add(
+                record.get("key"), tag == "write", value, begin, finish,
+                record.get("client"), weight, records,
+            )
+        except TypeError as exc:  # an unhashable key, as TraceBuilder raises it
+            return DecodedRange(records, len(lines), [], (number, "raise", exc))
+        records += 1
+    return DecodedRange(records, len(lines), rows.registers())
+
+
+def operations_range(ops: Iterable[Operation]) -> DecodedRange:
+    """Columns of an operation stream, as one :class:`DecodedRange`.
+
+    The row formats (CSV, the foreign-trace adapters) decode through their
+    operation readers; their errors raise here, in stream order.
+    """
+    rows = RowsByKey()
+    add = rows.add
+    records = 0
+    for op in ops:
+        add(op.key, op.is_write, op.value, op.start, op.finish, op.client, op.weight, records)
+        records += 1
+    return DecodedRange(records, 0, rows.registers())
+
+
+def merge_ranges(path: Union[str, Path], ranges: Iterable[DecodedRange]) -> Dict[Hashable, RowColumns]:
+    """Join decoded ranges, given in file order, into one
+    :class:`~repro.core.columnar.RowColumns` per register.
+
+    Raises what loading the file through :func:`load_trace` raises, in the
+    same order: the earliest range error first, with its line number counted
+    from the start of the file; then, register by register in
+    first-appearance order, what building its history would raise (a
+    duplicate write value).  Op ids are minted in file order, so ties break
+    and errors read as on the object path.
+    """
+    ranges = list(ranges)
+    if any(r.error is not None and r.error[1] == "utf-8" for r in ranges):
+        # Text-mode reading fails at a buffer-dependent point; replay it.
+        for _ in iter_jsonl(path):
+            pass
+    first_line = 0
+    for decoded in ranges:
+        if decoded.error is not None:
+            _raise_range_error(path, first_line, *decoded.error)
+        first_line += decoded.lines
+    ids = _operation.reserve_op_ids(sum(r.records for r in ranges))
+    pieces: Dict[Hashable, List[Tuple[RowColumns, int]]] = {}
+    offset = ids.start
+    for decoded in ranges:
+        for rows in decoded.registers:
+            pieces.setdefault(rows.key, []).append((rows, offset))
+        offset += decoded.records
+    registers = {key: RowColumns.concat(parts) for key, parts in pieces.items()}
+    for rows in registers.values():
+        rows.check_writes()
+    return registers
+
+
+def _raise_range_error(path, first_line: int, line: int, kind: str, detail) -> None:
+    """Raise one range's failure (:attr:`DecodedRange.error`) as
+    :func:`iter_jsonl` raises it."""
+    if kind == "json":
+        raise TraceFormatError(
+            f"{path}:{first_line + line}: invalid JSON: {detail}"
+        ) from detail
+    if kind == "record":
+        # The record check is deterministic: running it again raises the
+        # reader's exception, with an op id minted in this process.
+        _fast_operation_from_record(detail)
+    raise detail
 
 
 # ----------------------------------------------------------------------

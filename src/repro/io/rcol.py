@@ -102,16 +102,12 @@ def _require_numpy() -> None:
 def _fresh_op_ids(n: int):
     """Reserve ``n`` globally-unique, consecutive operation ids.
 
-    Uses the same counter as the operation constructors, advanced in one jump
-    (via :func:`repro.core.operation.ensure_op_ids_above`) instead of ``n``
-    ``next()`` calls, so minting ids for a multi-million-operation register
-    is an array fill.
+    The counter advances in one jump
+    (:func:`repro.core.operation.reserve_op_ids`), so minting ids for a
+    multi-million-operation register is an array fill.
     """
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    base = next(_operation._OP_COUNTER)
-    _operation.ensure_op_ids_above(base + n)
-    return np.arange(base, base + n, dtype=np.int64)
+    ids = _operation.reserve_op_ids(n)
+    return np.arange(ids.start, ids.stop, dtype=np.int64)
 
 
 class LazyValueTable(Sequence):

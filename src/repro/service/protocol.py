@@ -52,6 +52,7 @@ from ..core.errors import (
     ServerDraining,
     ServerOverloaded,
     ServiceError,
+    SessionBusy,
     SessionIdleTimeout,
     WorkerCrashLoopError,
 )
@@ -110,6 +111,7 @@ def decode_frame(line: Union[str, bytes]) -> Dict:
 _ERROR_CLASSES = {
     ServerOverloaded.code: ServerOverloaded,
     SessionIdleTimeout.code: SessionIdleTimeout,
+    SessionBusy.code: SessionBusy,
     WorkerCrashLoopError.code: WorkerCrashLoopError,
 }
 

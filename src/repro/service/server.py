@@ -61,6 +61,7 @@ from ..core.errors import (
     ReproError,
     ServerOverloaded,
     ServiceError,
+    SessionBusy,
     SessionIdleTimeout,
 )
 from ..io.formats import JsonlDecoder
@@ -606,7 +607,9 @@ class AuditServer:
             session_id = f"s{self._session_counter}"
         session_id = str(session_id)
         if session_id in self._active or session_id in self._opening:
-            raise ServiceError(f"session {session_id!r} is already connected")
+            # Retryable: a reconnecting client can beat the old connection's
+            # handler to the session, which it releases when it finishes.
+            raise SessionBusy(f"session {session_id!r} is already connected")
         if (
             self.max_active_sessions is not None
             and len(self._active) + len(self._opening) >= self.max_active_sessions

@@ -23,6 +23,7 @@ from repro.core.errors import (
     ServerDraining,
     ServerOverloaded,
     ServiceError,
+    SessionBusy,
     SessionIdleTimeout,
     SimulationError,
     WorkerCrashLoopError,
@@ -374,6 +375,68 @@ def test_chaos_parity_with_self_healing_client(tmp_path, schedule, workers):
             f"minimized fault plan saved to {path}"
         )
     assert counts, "the schedule must actually inject faults"
+
+
+@pytest.mark.parametrize("workers", [None, 2], ids=["in-process", "pool-2"])
+def test_resume_racing_the_old_handler_heals(tmp_path, workers):
+    """A resume that reaches the server before the dropped connection's
+    handler has released the session is refused as retryable, and heals.
+
+    The old handler is held after its stream ends — before it releases the
+    session id — until the session has been refused twice, which the old
+    non-retryable refusal never survived (the client's fresh-start fallback
+    is refused too).  The healed run must match the fault-free one.
+    """
+    ops = practical_history(random.Random(TEST_SEED), 120, num_clients=4).operations
+    baseline_report, baseline_windows = asyncio.run(fault_free_run(ops, workers=workers))
+
+    async def scenario():
+        server = AuditServer(port=0, workers=workers, checkpoint_dir=tmp_path)
+        await server.start()
+        release = asyncio.Event()
+        refused = []
+        run_session, open_session = server._run_session, server._open_session
+
+        async def held_run_session(reader, writer):
+            try:
+                return await run_session(reader, writer)
+            finally:
+                if not release.is_set():  # the dropped connection
+                    await release.wait()
+
+        async def counted_open_session(hello):
+            try:
+                return await open_session(hello)
+            except SessionBusy:
+                refused.append(bool(hello.get("resume")))
+                if len(refused) == 2:
+                    release.set()
+                raise
+
+        server._run_session = held_run_session
+        server._open_session = counted_open_session
+        try:
+            client = ResilientAuditClient(
+                server.addresses[0], session="baseline", k=2, window=50, witness=True,
+            )
+            await client.feed_ops(ops[:70])
+            await client.checkpoint()
+            await client.close()  # drop the connection mid-stream
+            await client.feed_ops(ops[70:])
+            report = await client.finish()
+            return report, client.windows, refused
+        finally:
+            release.set()
+            await server.stop()
+
+    report, windows, refused = asyncio.run(scenario())
+    assert refused == [True, True]
+    assert {k: result_signature(v) for k, v in report.results.items()} == {
+        k: result_signature(v) for k, v in baseline_report.results.items()
+    }
+    assert [window_signature(w) for w in windows] == [
+        window_signature(w) for w in baseline_windows
+    ]
 
 
 def test_resilient_client_survives_resume_refusal():

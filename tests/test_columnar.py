@@ -269,7 +269,7 @@ class TestShardCodec:
         )
         clone = pickle.loads(pickle.dumps(encoded, pickle.HIGHEST_PROTOCOL))
         out_obj = run_shard(task)
-        out_col = run_shard(clone).resolve(dict(task.items))
+        out_col = run_shard(clone).resolve({key: columnar_of(h) for key, h in task.items})
         assert out_col.num_ops == out_obj.num_ops
         assert {k: result_fields(r) for k, r in out_col.results} == {
             k: result_fields(r) for k, r in out_obj.results
@@ -304,7 +304,7 @@ class TestShardCodec:
         monkeypatch.undo()
         assert built == []
         assert outcome.results == () and outcome.payload is not None
-        resolved = outcome.resolve(dict(task.items))
+        resolved = outcome.resolve({key: columnar_of(h) for key, h in task.items})
         assert all(r.is_k_atomic and r.algorithm == "FZF" for _, r in resolved.results)
         reference = run_shard(task)
         assert {k: result_fields(r) for k, r in resolved.results} == {
