@@ -10,6 +10,11 @@ what segment eviction buys:
 * **latency section** — per-backend checkpoint ``save`` (durable put:
   fsync / WAL commit / segment append) and ``load`` + session resume,
   over a realistic mid-stream :class:`AuditSession` payload;
+* **journal section** — per backend, one session checkpointed every
+  ``JOURNAL_EVERY`` ops (a full base, then deltas, folding every
+  ``FOLD_EVERY``-th save): the bytes each delta stores against a full
+  payload at the same point, and, after every save, a resume from the
+  stored base + deltas finished against the uninterrupted run;
 * **retention arms** — a long window stream driven through
   :class:`StreamSession` twice in separate subprocesses: *retain-all*
   keeps every closed :class:`WindowReport` in memory (the pre-1.8
@@ -24,11 +29,13 @@ Run with::
         [--window 8] [--retain 16] [--saves 50] [--json PATH] [--check]
 
 ``--check`` fails when the stored checkpoint bytes differ across backends
-(the interchange guarantee), when the two retention arms' verdict digests
-diverge, when the default (json) backend's durable save exceeds the
-``--check-max-save-ms`` ceiling, or — at >= 2000 windows — when the evict
-arm's peak RSS is not under ``--check-max-rss-frac`` of retain-all's.  CI
-runs a reduced size.
+(the interchange guarantee), when a delta save stores as many bytes as a
+full payload at the same point, when a resume from base + deltas differs
+from the uninterrupted run on any backend (both counts, not timings), when
+the two retention arms' verdict digests diverge, when the default (json)
+backend's durable save exceeds the ``--check-max-save-ms`` ceiling, or — at
+>= 2000 windows — when the evict arm's peak RSS is not under
+``--check-max-rss-frac`` of retain-all's.  CI runs a reduced size.
 """
 
 from __future__ import annotations
@@ -50,6 +57,10 @@ if __name__ == "__main__" and __package__ is None:
 from repro.state import available_backends
 
 SEED = 0xC0FFEE
+
+#: Ops between checkpoints in the journal section: two folds' worth of
+#: saves (2 x FOLD_EVERY) cover 1024 ops.
+JOURNAL_EVERY = 64
 
 
 def make_stream(num_ops, seed):
@@ -105,6 +116,73 @@ def bench_latency(backend, payload, saves, directory):
         "load_resume_ms": round(load_s * 1e3, 3),
         "payload_bytes": len(raw),
         "raw": raw,
+    }
+
+
+# ----------------------------------------------------------------------
+# Journal section
+# ----------------------------------------------------------------------
+def _results(report):
+    return {
+        key: (bool(r), r.reason, None if r.witness is None else [op.op_id for op in r.witness])
+        for key, r in report.results.items()
+    }
+
+
+def bench_journal(backend, ops, every, directory):
+    """Checkpoint one session every ``every`` ops; count oversized deltas and
+    resumes that do not finish like the uninterrupted run."""
+    import pickle
+
+    from repro.service.checkpoint import CheckpointStore
+    from repro.service.session import AuditSession, SessionConfig
+
+    config = SessionConfig(k=2, algorithm="lbt", window_size=16)
+    reference = AuditSession.start("bench", config)
+    for op in ops:
+        reference.feed(op)
+    expected = _results(reference.finish())
+
+    store = CheckpointStore(directory, backend=backend)
+    session = AuditSession.start("bench", config)
+    twin = AuditSession.start("twin", config)  # never saved: always full
+    kinds = {"full": 0, "delta": 0}
+    delta_bytes, full_bytes, delta_save_s = [], [], []
+    oversized = mismatches = 0
+    try:
+        for i, op in enumerate(ops, 1):
+            session.feed(op)
+            twin.feed(op)
+            if i % every:
+                continue
+            payload = session.checkpoint_payload()
+            t0 = time.perf_counter()
+            store.save("bench", payload)
+            elapsed = time.perf_counter() - t0
+            session.checkpoints += 1
+            if "base" not in payload:
+                kinds["full"] += 1
+                continue
+            kinds["delta"] += 1
+            delta_save_s.append(elapsed)
+            size = len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+            full = len(pickle.dumps(twin.checkpoint_payload(), protocol=pickle.HIGHEST_PROTOCOL))
+            delta_bytes.append(size)
+            full_bytes.append(full)
+            oversized += size >= full
+            resumed = AuditSession.resume(store.load("bench"))
+            for rest in ops[resumed.ops_fed:]:
+                resumed.feed(rest)
+            mismatches += _results(resumed.finish()) != expected
+    finally:
+        store.close()
+    return {
+        "saves": kinds,
+        "delta_bytes_median": sorted(delta_bytes)[len(delta_bytes) // 2] if delta_bytes else 0,
+        "full_bytes_median": sorted(full_bytes)[len(full_bytes) // 2] if full_bytes else 0,
+        "delta_save_ms": round(sum(delta_save_s) / max(1, len(delta_save_s)) * 1e3, 3),
+        "oversized_deltas": oversized,
+        "resume_mismatches": mismatches,
     }
 
 
@@ -198,6 +276,23 @@ def run(num_ops, window, retain, saves, json_path, check, check_max_rss_frac,
             )
     interchangeable = len(set(raws.values())) == 1
 
+    from repro.service.session import FOLD_EVERY
+
+    journal = {}
+    journal_ops = ops[: JOURNAL_EVERY * 2 * FOLD_EVERY]
+    with tempfile.TemporaryDirectory() as tmp:
+        for backend in available_backends():
+            rec = bench_journal(backend, journal_ops, JOURNAL_EVERY, Path(tmp) / backend)
+            journal[backend] = rec
+            print(
+                f"  {backend:9s} journal: {rec['saves']['full']} full + "
+                f"{rec['saves']['delta']} delta saves, delta "
+                f"{rec['delta_bytes_median']} B vs full {rec['full_bytes_median']} B "
+                f"(medians), delta save {rec['delta_save_ms']:.3f} ms, "
+                f"{rec['resume_mismatches']} resume mismatches",
+                file=out,
+            )
+
     arms = {}
     with tempfile.TemporaryDirectory() as tmp:
         for arm in ("retain-all", "evict"):
@@ -215,9 +310,11 @@ def run(num_ops, window, retain, saves, json_path, check, check_max_rss_frac,
     record = {
         "config": {
             "ops": len(ops), "window": window, "retain": retain, "saves": saves,
+            "journal_every": JOURNAL_EVERY,
         },
         "latency": latency,
         "interchangeable": interchangeable,
+        "journal": journal,
         "retain_all": arms["retain-all"],
         "evict": arms["evict"],
         "rss_fraction": round(rss_frac, 4),
@@ -234,6 +331,19 @@ def run(num_ops, window, retain, saves, json_path, check, check_max_rss_frac,
                 "checkpoint bytes differ across backends: "
                 + ", ".join(f"{b}={len(r)}B" for b, r in raws.items())
             )
+        for backend, rec in journal.items():
+            if rec["saves"]["delta"] == 0:
+                failures.append(f"{backend}: the journal section took no delta saves")
+            if rec["oversized_deltas"]:
+                failures.append(
+                    f"{backend}: {rec['oversized_deltas']} delta saves stored as "
+                    "many bytes as a full payload at the same point"
+                )
+            if rec["resume_mismatches"]:
+                failures.append(
+                    f"{backend}: {rec['resume_mismatches']} resumes from base + "
+                    "deltas finished unlike the uninterrupted run"
+                )
         if arms["evict"]["digest"] != arms["retain-all"]["digest"]:
             failures.append(
                 "verdict digests diverge between retention arms — eviction "
@@ -262,7 +372,8 @@ def run(num_ops, window, retain, saves, json_path, check, check_max_rss_frac,
             return record, 1
         print(
             f"CHECK OK: payloads byte-interchangeable across "
-            f"{len(raws)} backends, verdict digests identical, evict peak "
+            f"{len(raws)} backends, every delta smaller than a full payload "
+            f"and every journal resume exact, verdict digests identical, evict peak "
             f"RSS {arms['evict']['peak_rss_kb'] / 1024:.1f} MB "
             f"({rss_frac:.2f}x retain-all)",
             file=out,

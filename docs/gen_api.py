@@ -57,6 +57,10 @@ SECTIONS = [
       "SqliteStateStore", "SegmentStateStore", "TimelineRetention"]),
     ("Audit service", "repro.service.server",
      ["AuditServer"]),
+    ("Audit sessions", "repro.service.session",
+     ["SessionConfig", "AuditSession"]),
+    ("Session checkpoints", "repro.service.checkpoint",
+     ["CheckpointStore"]),
     ("Service client", "repro.service.client",
      ["AuditClient", "verify_remote"]),
     ("Trace I/O (native formats)", "repro.io.formats",

@@ -124,6 +124,18 @@ class SessionBusy(RetryableServiceError):
     code = "session_busy"
 
 
+class CorruptCheckpointError(ServiceError):
+    """A stored checkpoint (base or journal delta) cannot be resumed.
+
+    Raised for blobs that do not unpickle, payloads of the wrong shape,
+    journals with a sequence gap and replays that do not land where the
+    journal says.  Retrying cannot help, so it is not retryable; starting
+    the session afresh under the same id replaces the bad checkpoint.
+    """
+
+    code = "corrupt_checkpoint"
+
+
 class WorkerCrashLoopError(ServiceError):
     """A pool worker kept dying on respawn; its shards are failed, not retried.
 

@@ -37,11 +37,11 @@ Architecture
 
 Memory trade-off: the parent's snapshot+replay copy roughly doubles resident
 checker state versus single-process serving; ``snapshot_every`` bounds the
-replay log, and a session checkpoint (which pulls fresh snapshots anyway)
-resets it for free.  Passing a :class:`repro.state.StateStore` as the pool's
-``journal`` moves that copy out of parent memory instead: snapshots land in
-the ``pool-snap`` namespace and replay batches in ``pool-log``, loaded back
-only on the (rare) failover or resize path.
+replay log, and a full session checkpoint (which pulls fresh snapshots
+anyway) resets it for free.  Passing a :class:`repro.state.StateStore` as
+the pool's ``journal`` moves that copy out of parent memory instead:
+snapshots land in the ``pool-snap`` namespace and replay batches in
+``pool-log``, loaded back only on the (rare) failover or resize path.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ from ..core.operation import Operation, ensure_op_ids_above
 from ..core.windows import Window, WindowAssembler
 from ..engine.codec import decode_feed_batches, encode_feed_batches
 from ..engine.tiering import TierStreamState, get_tier_policy
-from .session import AuditSession, SessionConfig
+from .session import AuditSession, SessionConfig, _corrupt_on_error, _parse_checkpoint
 
 __all__ = ["WorkerPool", "PooledStreamSession", "PooledAuditSession"]
 
@@ -174,12 +174,10 @@ def _worker_main(conn, worker_id: int) -> None:
 
     def handle(command: str, args: tuple):
         if command == "feed":
-            entries, blob = args
-            batches = decode_feed_batches(blob)
+            entries, blobs = args
             replies = []
-            for (shard_id, mode, config, want_snapshot), (_key, ops) in zip(
-                entries, batches
-            ):
+            for (shard_id, mode, config, want_snapshot), blob in zip(entries, blobs):
+                ((_key, ops),) = decode_feed_batches(blob)
                 checker = checkers.get(shard_id)
                 if checker is None:
                     if config is None:
@@ -796,6 +794,10 @@ class WorkerPool:
         modes: Optional[Dict[Hashable, str]] = None,
     ) -> Dict[Hashable, object]:
         entries = []
+        # One blob per shard, encoded once: the request carries them all,
+        # and the replay log keeps each alone — failover replays per shard,
+        # to possibly different new homes.
+        blobs = [encode_feed_batches([batch]) for batch in batches]
         for key, ops in batches:
             shard_id = (session_id, key)
             state = self._shards[shard_id]
@@ -808,16 +810,16 @@ class WorkerPool:
             entries.append(
                 (shard_id, key_mode, state.config if fresh else None, want_snapshot)
             )
-        blob = encode_feed_batches(batches)
         replies = await self._request_with_failover(
-            worker_id, "feed", entries, blob
+            worker_id, "feed", entries, blobs
         )
         handle = self._workers[worker_id]
         handle.batches += len(batches)
         handle.ops += sum(len(ops) for _key, ops in batches)
         verdicts: Dict[Hashable, object] = {}
-        for (key, ops), (verdict, snapshot) in zip(batches, replies):
-            shard_id = (session_id, key)
+        for (key, _ops), blob, (shard_id, key_mode, _config, _want), (
+            verdict, snapshot
+        ) in zip(batches, blobs, entries, replies):
             state = self._shards[shard_id]
             if snapshot is not None:
                 state.snapshot = snapshot
@@ -825,12 +827,9 @@ class WorkerPool:
                 state.since_snapshot = 0
                 handle.snapshots += 1
             else:
-                # Log this batch alone (not the worker-level multi-shard
-                # blob): failover replays per shard, to possibly different
-                # new homes.  The shard's own mode is what replay must
-                # re-issue — state identity depends on the check cadence.
-                key_mode = mode if modes is None else modes.get(key, mode)
-                state.replay.append((encode_feed_batches([(key, ops)]), key_mode))
+                # The shard's own mode is what replay must re-issue — state
+                # identity depends on the check cadence.
+                state.replay.append((blob, key_mode))
                 state.since_snapshot += 1
             verdicts[key] = verdict
         return verdicts
@@ -1403,40 +1402,25 @@ class PooledAuditSession(AuditSession):
 
     @classmethod
     async def resume(cls, payload: Dict, pool: WorkerPool) -> "PooledAuditSession":
-        """Rehydrate a checkpoint payload onto the pool."""
-        try:
-            session_id = payload["session_id"]
-            config = SessionConfig.from_dict(payload["config"])
-            stream_state = payload["stream"]
-        except KeyError as exc:
-            raise ServiceError(f"malformed checkpoint payload: missing {exc}") from exc
+        """Rehydrate a checkpoint onto the pool, replaying its journal."""
+        session_id, config, stream_state, journal = _parse_checkpoint(payload)
         stream = PooledStreamSession(pool, session_id, config)
         try:
-            await stream.restore(stream_state)
-        except VerificationError as exc:
-            raise ServiceError(str(exc)) from exc
-        session = cls(
-            session_id,
-            config,
-            stream,
-            resumed=True,
-            checkpoints=payload.get("checkpoints", 0),
-            elapsed_prior=payload.get("elapsed_s", 0.0),
-        )
-        session.alarmed_keys = set(payload.get("alarmed_keys", ()))
-        session.window_log = [dict(frame) for frame in payload.get("window_log", ())]
-        tiering = payload.get("tiering") or {}
-        session.escalations = int(tiering.get("escalations", 0))
-        session.windows_bypassed = int(tiering.get("windows_bypassed", 0))
+            with _corrupt_on_error(session_id):
+                await stream.restore(stream_state)
+                session = cls._resumed(payload, session_id, config, stream)
+                for op in session._replay(journal):
+                    await session.afeed(op)
+        except BaseException:
+            # Worker-side shards of a half-restored session would otherwise
+            # be picked up by the next session under this id.
+            await stream.close()
+            raise
         return session
 
     # -- async surface ---------------------------------------------------
     async def afeed(self, op: Operation) -> Optional[WindowReport]:
-        report = await self.stream.feed(op)
-        if report is not None:
-            self.alarmed_keys.update(report.alarms())
-            self._note_tiering(report)
-        return report
+        return self._fed(op, await self.stream.feed(op))
 
     async def afinish(self) -> StreamVerificationReport:
         report = await self.stream.finish()
@@ -1444,22 +1428,8 @@ class PooledAuditSession(AuditSession):
         self.finished = True
         return report
 
-    async def acheckpoint_payload(self) -> Dict:
-        payload = {
-            "session_id": self.session_id,
-            "config": self.config.to_dict(),
-            "stream": await self.stream.snapshot(),
-            "checkpoints": self.checkpoints + 1,
-            "alarmed_keys": list(self.alarmed_keys),
-            "window_log": [dict(frame) for frame in self.window_log],
-            "elapsed_s": self.elapsed_s,
-        }
-        if self.config.tier != "exact":
-            payload["tiering"] = {
-                "escalations": self.escalations,
-                "windows_bypassed": self.windows_bypassed,
-            }
-        return payload
+    async def _astream_snapshot(self) -> Dict:
+        return await self.stream.snapshot()
 
     async def aclose(self) -> None:
         await self.stream.close()

@@ -48,6 +48,7 @@ import json
 from typing import Dict, Hashable, List, Optional, Tuple, Union
 
 from ..core.errors import (
+    CorruptCheckpointError,
     RetryableServiceError,
     ServerDraining,
     ServerOverloaded,
@@ -113,6 +114,7 @@ _ERROR_CLASSES = {
     SessionIdleTimeout.code: SessionIdleTimeout,
     SessionBusy.code: SessionBusy,
     WorkerCrashLoopError.code: WorkerCrashLoopError,
+    CorruptCheckpointError.code: CorruptCheckpointError,
 }
 
 

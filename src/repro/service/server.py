@@ -23,7 +23,8 @@ Checkpoints
 -----------
 With a :class:`~repro.service.checkpoint.CheckpointStore` attached, sessions
 are persisted every ``checkpoint_every`` operations and on explicit
-``checkpoint`` frames; after a crash (or an orderly restart) a client
+``checkpoint`` frames — a full snapshot first, then journal deltas of the
+ops since the last save; after a crash (or an orderly restart) a client
 re-connects with ``resume: true`` and continues exactly where the last
 checkpoint left off — the restored verdict stream is identical to an
 uninterrupted run's.  A session's checkpoint is discarded once its final
@@ -685,7 +686,9 @@ class AuditServer:
                 },
             )
             if self.store is not None:
-                self.store.discard(session.session_id)
+                # A base plus its journal: several deletes, off the loop like
+                # save and load.
+                await asyncio.to_thread(self.store.discard, session.session_id)
             self._completed += 1
             if self.max_sessions is not None and self._completed >= self.max_sessions:
                 self._stop_event.set()
@@ -731,9 +734,10 @@ class AuditServer:
     async def _save_checkpoint(self, session: AuditSession) -> None:
         if self.store is None:
             return
-        # Snapshot on the loop (cheap shallow copies of immutable state; a
-        # pooled session awaits its workers' snapshots here), pickle + write
-        # in a thread so other sessions keep streaming during the disk I/O.
+        # Build the payload on the loop (a delta copies the ops since the
+        # last save; a full snapshot is cheap shallow copies, and a pooled
+        # session awaits its workers' snapshots here), pickle + write in a
+        # thread so other sessions keep streaming during the disk I/O.
         # The session's worker coroutine is parked on this await, so nothing
         # mutates the snapshotted state meanwhile.
         payload = await session.acheckpoint_payload()

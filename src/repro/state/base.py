@@ -10,14 +10,15 @@ choice, not an architectural one.
 
 Namespaces keep unrelated state apart inside one store directory:
 
-========== =========================================================
-namespace   contents
-========== =========================================================
-sessions    pickled session checkpoint payloads (one per session id)
-pool-snap   worker-pool parent copies of per-shard checker snapshots
-pool-log    worker-pool per-shard replay-log entries
-timeline    spilled :class:`WindowReport` entries of long streams
-========== =========================================================
+=============== =========================================================
+namespace        contents
+=============== =========================================================
+sessions         pickled session checkpoint payloads (one base per session)
+session-journal  checkpoint journal deltas extending each session's base
+pool-snap        worker-pool parent copies of per-shard checker snapshots
+pool-log         worker-pool per-shard replay-log entries
+timeline         spilled :class:`WindowReport` entries of long streams
+=============== =========================================================
 
 Backends register themselves in :data:`STATE_BACKENDS` (name -> factory) at
 import time; :func:`open_state_store` is the single construction point the

@@ -7,10 +7,11 @@ error — and a checkpoint written before the crash must resume to verdict
 parity with an uninterrupted run.  These tests enforce both, across every
 registered backend:
 
-* **Torn-write sweep** — write checkpoint A, then B, fold everything to
-  disk, and truncate each backing file at *every byte boundary*; every
-  truncation must load as payload B, payload A, "no checkpoint", or a typed
-  error — never a half-deserialized payload.
+* **Torn-write sweep** — write checkpoint A, then B and two journal deltas
+  extending B, fold everything to disk, and truncate each backing file at
+  *every byte boundary*; every truncation must load as B with a prefix of
+  its journal, payload A, "no checkpoint", or a typed error — never a
+  half-deserialized payload.
 * **SIGKILL mid-checkpoint** — a subprocess feeds a deterministic stream,
   checkpointing after every operation, and is killed with ``SIGKILL``
   mid-run; the parent resumes from whatever checkpoint survived and must
@@ -73,23 +74,44 @@ def _backing_files(directory: Path):
 
 
 PAYLOAD_A = {"session_id": "torn", "stream": {"ops_fed": 3}, "blob": b"A" * 64}
-PAYLOAD_B = {"session_id": "torn", "stream": {"ops_fed": 9}, "blob": b"B" * 64}
+PAYLOAD_B = {
+    "session_id": "torn", "stream": {"ops_fed": 9}, "checkpoints": 2, "blob": b"B" * 64
+}
+#: Two journal deltas extending base B (checkpoints 3 and 4).
+DELTAS = [
+    {"session_id": "torn", "base": 2, "checkpoints": n, "ops_fed": 9 + n,
+     "ops": [], "window_log": [], "elapsed_s": 0.0, "blob": bytes([n]) * 32}
+    for n in (3, 4)
+]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_torn_write_at_every_byte_boundary(tmp_path, backend):
+    """Bases and journal deltas alike: a torn record never loads partially.
+
+    A torn delta may cut the journal back to a prefix of whole deltas, or
+    raise a typed error; it never yields a partial delta.
+    """
     base = tmp_path / "base"
     ckpt = _open_checkpoints(backend, base)
     ckpt.save("torn", PAYLOAD_A)
     ckpt.save("torn", PAYLOAD_B)
+    for delta in DELTAS:
+        ckpt.save("torn", delta)
     ckpt.store.flush()
     ckpt.close()
+    # Base B with each prefix of its journal, longest first.
+    chains = [
+        {**PAYLOAD_B, "journal": DELTAS},
+        {**PAYLOAD_B, "journal": DELTAS[:1]},
+        PAYLOAD_B,
+    ]
 
     originals = {p: p.read_bytes() for p in _backing_files(base)}
     assert originals, "store persisted nothing"
     scratch = tmp_path / "scratch"
 
-    outcomes = {"B": 0, "A": 0, "gone": 0, "typed": 0}
+    outcomes = {"B": 0, "B-prefix": 0, "A": 0, "gone": 0, "typed": 0}
     for victim, pristine in originals.items():
         for cut in range(len(pristine) + 1):
             if scratch.exists():
@@ -115,9 +137,11 @@ def test_torn_write_at_every_byte_boundary(tmp_path, backend):
                 continue
             finally:
                 store.close()
-            # Never partial state: only the complete payloads may surface.
-            if loaded == PAYLOAD_B:
+            # Never partial state: only complete records may surface.
+            if loaded == chains[0]:
                 outcomes["B"] += 1
+            elif loaded in chains:
+                outcomes["B-prefix"] += 1
             elif loaded == PAYLOAD_A:
                 outcomes["A"] += 1
             else:  # pragma: no cover - the failure this suite exists for
@@ -125,10 +149,11 @@ def test_torn_write_at_every_byte_boundary(tmp_path, backend):
                     f"{backend}: truncating {victim.name} at byte {cut} "
                     f"surfaced partial state: {loaded!r}"
                 )
-    # The untruncated tail must load as B, and some truncation must be
-    # detected (either typed error or falling back to absent/prior state).
+    # The untruncated tail must load as B with its whole journal, and some
+    # truncation must be detected (a typed error, or falling back to a
+    # shorter journal, an absent or the prior checkpoint).
     assert outcomes["B"] > 0
-    assert outcomes["typed"] + outcomes["gone"] + outcomes["A"] > 0
+    assert sum(outcomes.values()) - outcomes["B"] > 0
 
 
 # ----------------------------------------------------------------------
