@@ -1,18 +1,19 @@
-"""Columnar fast path vs object path: end-to-end verification speedups.
+"""Columnar encoding + numpy kernels vs the object path: end-to-end speedups.
 
-The columnar encoding (:mod:`repro.core.columnar`) exists to make the paper's
-``O(n log n)`` bounds real in CPython; this benchmark measures how much it
-buys end to end and doubles as a parity test:
+The columnar encoding (:mod:`repro.core.columnar`) and the numpy kernels over
+it (:mod:`repro.core.vector`) exist to make the paper's ``O(n log n)`` bounds
+real in CPython; this benchmark measures how much they buy end to end and
+doubles as a parity test:
 
 * **single-register sweep** — ``verify(h, 1)`` (GK) followed by
   ``verify(h, 2)`` (FZF) on one practical history, over a range of trace
   sizes, on fresh history instances each repeat so the derived-structure
-  cache cannot leak between paths.  Three tiers: the object path, the
-  columnar (struct-of-arrays) kernels, and the vectorized numpy kernels fed
-  straight from a memory-mapped ``.rcol`` file (load + GK + FZF, witnesses
-  left undecoded — the engine's out-of-core configuration);
+  cache cannot leak between paths.  Two kernels: the object reference, and
+  the numpy kernels fed straight from a memory-mapped ``.rcol`` file (load +
+  GK + FZF, witnesses left undecoded — the engine's out-of-core
+  configuration);
 * **multi-register engine pass** — the serial engine over a synthetic trace,
-  columnar vs object path;
+  numpy vs object kernel;
 * **ingestion** — trace file → per-register histories: the streaming
   object reader vs :func:`repro.io.formats.load_columnar` (records →
   columns, no ``Operation`` objects) vs lazy ``.rcol`` memory-mapping
@@ -36,10 +37,9 @@ Run with::
         [--registers N] [--repeat R] [--json PATH] [--check [--baseline PATH]]
 
 ``--check`` re-validates the recorded baseline invariants (parity, minimum
-columnar and vectorized speedups, payload and result reduction with witness
+numpy-over-object speedup, payload and result reduction with witness
 parity, batch-file parity over at least two decode ranges) at whatever size
-was run
-— CI runs it at a small size as a regression smoke test; the committed
+was run — CI runs it at a small size as a regression smoke test; the committed
 reference numbers live in ``benchmarks/results/bench_columnar.json``.
 """
 
@@ -84,31 +84,13 @@ def timed(fn, repeat):
     return best, result
 
 
-def check_parity(history, res_obj, res_col, k):
-    """Assert the two paths agree on verdict, reason, stats and witness."""
-    assert bool(res_obj) == bool(res_col), (
-        f"verdict divergence at k={k}: object={bool(res_obj)} columnar={bool(res_col)}"
-    )
-    assert res_obj.reason == res_col.reason, (
-        f"reason divergence at k={k}: {res_obj.reason!r} != {res_col.reason!r}"
-    )
-    assert res_obj.stats == res_col.stats, (
-        f"stats divergence at k={k}: {res_obj.stats!r} != {res_col.stats!r}"
-    )
-    for res in (res_obj, res_col):
-        if res.witness is not None:
-            assert history.is_k_atomic_total_order(res.witness, k), (
-                f"invalid witness from {res.algorithm} at k={k}"
-            )
-
-
 def fresh(history):
     """A cache-free copy of ``history`` (same operations, empty derived cache)."""
     return History(history.operations, key=history.key)
 
 
 def check_numpy_parity(col, obj_r1, obj_r2, np_r1, np_r2):
-    """Assert the vectorized tier matches the object path on both verdicts.
+    """Assert the numpy kernels match the object path on both verdicts.
 
     The timed vectorized runs leave witnesses undecoded, so witness validity
     is checked on a separate decoded (untimed) run against the decoded
@@ -135,7 +117,7 @@ def check_numpy_parity(col, obj_r1, obj_r2, np_r1, np_r2):
 
 
 def bench_single_register(sizes, repeat, seed, out):
-    """GK then FZF on one register: object vs columnar vs vectorized tiers."""
+    """GK then FZF on one register: the object kernel vs the numpy kernels."""
     rows = []
     records = []
     for n in sizes:
@@ -144,74 +126,60 @@ def bench_single_register(sizes, repeat, seed, out):
             practical_history(rng, n, staleness_probability=0.05, max_staleness=1)
         )
 
-        def run_pair(use_columnar):
+        def run_object_pair():
             h = fresh(history)
-            r1 = verify(h, 1, preprocess=False, columnar=use_columnar)
-            r2 = verify(h, 2, preprocess=False, columnar=use_columnar)
+            r1 = verify(h, 1, preprocess=False, kernel="object")
+            r2 = verify(h, 2, preprocess=False, kernel="object")
             return r1, r2
 
-        obj_s, (obj_r1, obj_r2) = timed(lambda: run_pair(False), repeat)
-        col_s, (col_r1, col_r2) = timed(lambda: run_pair(True), repeat)
-        check_parity(history, obj_r1, col_r1, 1)
-        check_parity(history, obj_r2, col_r2, 2)
-        speedup = obj_s / col_s if col_s > 0 else float("inf")
-        np_s = np_speedup = np_vs_col = None
-        if vector.NUMPY_AVAILABLE:
-            # The vectorized tier is timed the way the out-of-core engine
-            # runs it: memory-map the .rcol file, build columns lazily and
-            # verify without decoding the YES witness back into Operation
-            # objects.  The dump itself is one-time conversion cost and is
-            # measured separately by bench_ingestion.
-            with tempfile.TemporaryDirectory() as tmp:
-                rcol_path = Path(tmp) / "trace.rcol"
-                dump_rcol(history, rcol_path)
+        obj_s, (obj_r1, obj_r2) = timed(run_object_pair, repeat)
+        for k, res in ((1, obj_r1), (2, obj_r2)):
+            if res.witness is not None:
+                assert history.is_k_atomic_total_order(res.witness, k), (
+                    f"invalid witness from {res.algorithm} at k={k} (object kernel)"
+                )
+        # The numpy kernels are timed the way the out-of-core engine runs
+        # them: memory-map the .rcol file, build columns lazily and verify
+        # without decoding the YES witness back into Operation objects.  The
+        # dump itself is one-time conversion cost and is measured separately
+        # by bench_ingestion.
+        with tempfile.TemporaryDirectory() as tmp:
+            rcol_path = Path(tmp) / "trace.rcol"
+            dump_rcol(history, rcol_path)
 
-                def run_numpy_pair():
-                    with RcolFile(rcol_path) as rf:
-                        col = rf.load_columnar(history.key)
-                        r1 = vector.verify_columnar(
-                            col, 1, preprocess=False, decode_witness=False
-                        )
-                        r2 = vector.verify_columnar(
-                            col, 2, preprocess=False, decode_witness=False
-                        )
-                    return r1, r2
-
-                np_s, (np_r1, np_r2) = timed(run_numpy_pair, repeat)
+            def run_numpy_pair():
                 with RcolFile(rcol_path) as rf:
-                    check_numpy_parity(
-                        rf.load_columnar(history.key), obj_r1, obj_r2, np_r1, np_r2
+                    col = rf.load_columnar(history.key)
+                    r1 = vector.verify_columnar(
+                        col, 1, preprocess=False, decode_witness=False
                     )
-            np_speedup = obj_s / np_s if np_s > 0 else float("inf")
-            np_vs_col = col_s / np_s if np_s > 0 else float("inf")
+                    r2 = vector.verify_columnar(
+                        col, 2, preprocess=False, decode_witness=False
+                    )
+                return r1, r2
+
+            np_s, (np_r1, np_r2) = timed(run_numpy_pair, repeat)
+            with RcolFile(rcol_path) as rf:
+                check_numpy_parity(
+                    rf.load_columnar(history.key), obj_r1, obj_r2, np_r1, np_r2
+                )
+        np_speedup = obj_s / np_s if np_s > 0 else float("inf")
         rows.append(
-            [n, f"{obj_s:.3f}", f"{col_s:.3f}",
-             "-" if np_s is None else f"{np_s:.3f}",
-             f"{speedup:.2f}x",
-             "-" if np_speedup is None else f"{np_speedup:.2f}x",
-             "YES" if col_r2 else "NO"]
+            [n, f"{obj_s:.3f}", f"{np_s:.3f}", f"{np_speedup:.2f}x",
+             "YES" if obj_r2 else "NO"]
         )
         records.append(
             {
                 "ops": n,
                 "object_s": round(obj_s, 6),
-                "columnar_s": round(col_s, 6),
-                "numpy_s": None if np_s is None else round(np_s, 6),
-                "speedup": round(speedup, 3),
-                "numpy_speedup": (
-                    None if np_speedup is None else round(np_speedup, 3)
-                ),
-                "numpy_vs_columnar": (
-                    None if np_vs_col is None else round(np_vs_col, 3)
-                ),
+                "numpy_s": round(np_s, 6),
+                "numpy_speedup": round(np_speedup, 3),
             }
         )
     print("single-register GK+FZF sweep (fresh caches per run):", file=out)
     print(
         format_table(
-            ["ops", "object (s)", "columnar (s)", "numpy (s)", "col x",
-             "numpy x", "2-atomic"],
-            rows,
+            ["ops", "object (s)", "numpy (s)", "numpy x", "2-atomic"], rows
         ),
         file=out,
     )
@@ -219,42 +187,42 @@ def bench_single_register(sizes, repeat, seed, out):
 
 
 def bench_engine(num_registers, ops_per_register, repeat, seed, out):
-    """Serial engine over a multi-register trace, columnar vs object."""
+    """Serial engine over a multi-register trace, numpy vs object kernel."""
     rng = random.Random(seed)
     trace = synthetic_trace(
         rng, num_registers, ops_per_register,
         staleness_probability=0.05, max_staleness=1, size_skew=1.0,
     )
 
-    def run(use_columnar):
+    def run(kernel):
         rebuilt = synthetic_trace(
             random.Random(seed), num_registers, ops_per_register,
             staleness_probability=0.05, max_staleness=1, size_skew=1.0,
         )
-        return Engine(columnar=use_columnar).verify_trace(rebuilt, 2)
+        return Engine(kernel=kernel).verify_trace(rebuilt, 2)
 
     # Trace regeneration inside run() guarantees cache-free histories, so
     # time the verification via the report's own elapsed clock.
-    _, obj_report = timed(lambda: run(False), repeat)
-    _, col_report = timed(lambda: run(True), repeat)
+    _, obj_report = timed(lambda: run("object"), repeat)
+    _, np_report = timed(lambda: run("numpy"), repeat)
     assert {k: bool(r) for k, r in obj_report.results.items()} == {
-        k: bool(r) for k, r in col_report.results.items()
-    }, "engine verdicts diverge between object and columnar paths"
-    obj_s, col_s = obj_report.elapsed_s, col_report.elapsed_s
+        k: bool(r) for k, r in np_report.results.items()
+    }, "engine verdicts diverge between the object and numpy kernels"
+    obj_s, np_s = obj_report.elapsed_s, np_report.elapsed_s
     print("", file=out)
     print(
         f"multi-register serial engine ({num_registers} registers, "
         f"{trace.total_operations()} ops, k=2): "
-        f"object {obj_s:.3f}s vs columnar {col_s:.3f}s "
-        f"({obj_s / col_s:.2f}x)",
+        f"object {obj_s:.3f}s vs numpy {np_s:.3f}s "
+        f"({obj_s / np_s:.2f}x)",
         file=out,
     )
     return {
         "registers": num_registers,
         "total_ops": trace.total_operations(),
         "object_s": round(obj_s, 6),
-        "columnar_s": round(col_s, 6),
-        "speedup": round(obj_s / col_s, 3) if col_s else None,
+        "numpy_s": round(np_s, 6),
+        "speedup": round(obj_s / np_s, 3) if np_s else None,
     }
 
 
@@ -262,44 +230,36 @@ def bench_ingestion(num_registers, ops_per_register, repeat, seed, out):
     """Trace-file ingestion: object reader vs columnar decode vs .rcol memmap."""
     rng = random.Random(seed)
     trace = synthetic_trace(rng, num_registers, ops_per_register)
-    rcol_s = None
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.jsonl"
         count = dump_jsonl(trace, path)
         object_s, _ = timed(lambda: load_trace(path), repeat)
         columnar_s, cols = timed(lambda: load_columnar(path), repeat)
-        if vector.NUMPY_AVAILABLE:
-            rcol_path = Path(tmp) / "trace.rcol"
-            dump_rcol(trace, rcol_path)
+        rcol_path = Path(tmp) / "trace.rcol"
+        dump_rcol(trace, rcol_path)
 
-            def load_rcol():
-                with RcolFile(rcol_path) as rf:
-                    return {key: rf.load_columnar(key) for key in rf.keys()}
+        def load_rcol():
+            with RcolFile(rcol_path) as rf:
+                return {key: rf.load_columnar(key) for key in rf.keys()}
 
-            rcol_s, rcols = timed(load_rcol, repeat)
-            assert sum(c.n for c in rcols.values()) == count
+        rcol_s, rcols = timed(load_rcol, repeat)
+        assert sum(c.n for c in rcols.values()) == count
     assert sum(c.n for c in cols.values()) == count
     print("", file=out)
-    rcol_part = (
-        ""
-        if rcol_s is None
-        else f" vs .rcol memmap {rcol_s:.3f}s ({object_s / rcol_s:.2f}x)"
-    )
     print(
         f"trace ingestion ({count} ops): JSONL object reader {object_s:.3f}s vs "
         f"JSONL columnar decode {columnar_s:.3f}s "
-        f"({object_s / columnar_s:.2f}x){rcol_part}",
+        f"({object_s / columnar_s:.2f}x) vs .rcol memmap {rcol_s:.3f}s "
+        f"({object_s / rcol_s:.2f}x)",
         file=out,
     )
     return {
         "total_ops": count,
         "object_s": round(object_s, 6),
         "columnar_s": round(columnar_s, 6),
-        "rcol_s": None if rcol_s is None else round(rcol_s, 6),
+        "rcol_s": round(rcol_s, 6),
         "speedup": round(object_s / columnar_s, 3) if columnar_s else None,
-        "rcol_speedup": (
-            round(object_s / rcol_s, 3) if rcol_s else None
-        ),
+        "rcol_speedup": round(object_s / rcol_s, 3) if rcol_s else None,
     }
 
 
@@ -424,9 +384,9 @@ def bench_batch_file(num_registers, ops_per_register, seed, out):
 
 
 def run(sizes, num_registers, ops_per_register, repeat, seed, json_path, check,
-        check_min_speedup, check_min_numpy_speedup=None, out=sys.stdout):
+        check_min_numpy_speedup, out=sys.stdout):
     print(
-        f"columnar benchmark: sizes={sizes}, engine trace "
+        f"kernel benchmark: sizes={sizes}, engine trace "
         f"{num_registers}x{ops_per_register}, repeat={repeat}, seed={seed}",
         file=out,
     )
@@ -458,27 +418,14 @@ def run(sizes, num_registers, ops_per_register, repeat, seed, json_path, check,
 
     if check:
         failures = []
-        worst = min(entry["speedup"] for entry in single)
+        worst = min(entry["numpy_speedup"] for entry in single)
         largest = max(single, key=lambda entry: entry["ops"])
-        if largest["speedup"] < check_min_speedup:
+        if largest["numpy_speedup"] < check_min_numpy_speedup:
             failures.append(
-                f"columnar GK+FZF speedup {largest['speedup']:.2f}x at "
-                f"{largest['ops']} ops is below the required "
-                f"{check_min_speedup:.2f}x"
+                f"numpy GK+FZF speedup {largest['numpy_speedup']:.2f}x over the "
+                f"object kernel at {largest['ops']} ops is below the required "
+                f"{check_min_numpy_speedup:.2f}x"
             )
-        numpy_note = "numpy tier unavailable (not checked)"
-        if vector.NUMPY_AVAILABLE and check_min_numpy_speedup is not None:
-            np_ratio = largest["numpy_vs_columnar"]
-            if np_ratio is None or np_ratio < check_min_numpy_speedup:
-                failures.append(
-                    f"vectorized GK+FZF is {np_ratio}x the columnar kernels at "
-                    f"{largest['ops']} ops, below the required "
-                    f"{check_min_numpy_speedup:.2f}x"
-                )
-            else:
-                numpy_note = (
-                    f"vectorized tier {np_ratio:.2f}x over columnar"
-                )
         if ipc["column_bytes"] >= ipc["object_bytes"]:
             failures.append(
                 f"column payload {ipc['column_bytes']} B is not smaller than "
@@ -509,9 +456,9 @@ def run(sizes, num_registers, ops_per_register, repeat, seed, json_path, check,
                 print(f"CHECK FAILED: {failure}", file=out)
             return record, 1
         print(
-            f"CHECK OK: parity held, columnar speedup {largest['speedup']:.2f}x "
-            f"at {largest['ops']} ops (worst across sizes {worst:.2f}x), "
-            f"{numpy_note}, payload {ipc['reduction']:.2f}x smaller, "
+            f"CHECK OK: parity held, numpy speedup {largest['numpy_speedup']:.2f}x "
+            f"over object at {largest['ops']} ops (worst across sizes "
+            f"{worst:.2f}x), payload {ipc['reduction']:.2f}x smaller, "
             f"results {ipc['result_reduction']:.2f}x smaller with witness parity, "
             f"verify_file over {batch['ranges']} decode ranges matches the reference",
             file=out,
@@ -534,36 +481,24 @@ def main(argv=None):
     parser.add_argument(
         "--check",
         action="store_true",
-        help="fail (exit 1) when parity breaks, the largest-size speedup drops "
-        "below --check-min-speedup, or the column payload or results stop "
-        "shrinking",
-    )
-    parser.add_argument(
-        "--check-min-speedup",
-        type=float,
-        default=None,
-        dest="check_min_speedup",
-        help="minimum required GK+FZF speedup at the largest size "
-        "(default: 2.0 at >=100k ops, 1.2 below — small sizes amortise "
-        "the encoding less)",
+        help="fail (exit 1) when parity breaks, the largest-size numpy "
+        "speedup drops below --check-min-numpy-speedup, or the column payload "
+        "or results stop shrinking",
     )
     parser.add_argument(
         "--check-min-numpy-speedup",
         type=float,
         default=None,
         dest="check_min_numpy_speedup",
-        help="minimum required vectorized-over-columnar ratio at the largest "
-        "size (default: 10.0 at >=100k ops, 2.0 below; skipped when numpy "
-        "is unavailable)",
+        help="minimum required numpy-over-object GK+FZF speedup at the largest "
+        "size (default: 20.0 at >=100k ops, 2.4 below — small sizes amortise "
+        "the encoding less)",
     )
     args = parser.parse_args(argv)
     sizes = [int(s) for s in args.sizes.split(",") if s]
-    min_speedup = args.check_min_speedup
-    if min_speedup is None:
-        min_speedup = 2.0 if max(sizes) >= 100_000 else 1.2
     min_numpy = args.check_min_numpy_speedup
     if min_numpy is None:
-        min_numpy = 10.0 if max(sizes) >= 100_000 else 2.0
+        min_numpy = 20.0 if max(sizes) >= 100_000 else 2.4
     _, status = run(
         sizes=sizes,
         num_registers=args.registers,
@@ -572,7 +507,6 @@ def main(argv=None):
         seed=args.seed,
         json_path=args.json,
         check=args.check,
-        check_min_speedup=min_speedup,
         check_min_numpy_speedup=min_numpy,
     )
     return status

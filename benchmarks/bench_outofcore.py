@@ -170,14 +170,6 @@ def spawn_arm(arm, path, k, num_registers):
 
 def run(num_registers, ops_per_register, k, seed, json_path, check,
         check_max_rss_frac, trace_path=None, out=sys.stdout):
-    if not vector.NUMPY_AVAILABLE:
-        print(
-            "numpy is unavailable; the out-of-core benchmark needs the "
-            "vectorized tier and the .rcol backend — skipping.",
-            file=out,
-        )
-        return None, 0
-
     total = num_registers * ops_per_register
     with tempfile.TemporaryDirectory() as tmp:
         if trace_path is None:

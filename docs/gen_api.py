@@ -41,9 +41,8 @@ SECTIONS = [
       "CheckerSpec", "get_checker"]),
     ("Incremental checkers", "repro.algorithms.online",
      ["Checker", "IncrementalGKChecker", "IncrementalLBTChecker"]),
-    ("Vectorized kernel tier", "repro.core.vector",
-     ["resolve_kernel", "available", "set_default_enabled", "verify_columnar",
-      "columnar_from_numpy"]),
+    ("Vectorized kernels", "repro.core.vector",
+     ["resolve_kernel", "verify_columnar", "columnar_from_numpy"]),
     ("Batch engine", "repro.engine.engine",
      ["Engine"]),
     ("Streaming engine", "repro.engine.streaming",

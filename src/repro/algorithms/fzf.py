@@ -20,21 +20,33 @@ runs in three stages:
 The implementation returns a witness total order on YES by concatenating the
 per-chunk witnesses and the dangling clusters in increasing order of their low
 endpoints, which extends the ``<=_H`` relation used in the Lemma 4.1 proof.
+
+This module is the reference.  The default ``numpy`` kernel
+(:func:`repro.core.vector.fzf_verdict_np`) vectorizes Stages 1 and 3 and the
+common chunk shapes, and hands every other chunk to :func:`check_viable` and
+:func:`candidate_write_orders` here, so each concept has one implementation.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core import columnar, vector
-from ..core.chunks import Chunk, ChunkSet, compute_chunk_set
+from ..core import vector
+from ..core.columnar import columnar_of
+from ..core.chunks import Chunk, compute_chunk_set
 from ..core.history import History
 from ..core.operation import Operation
 from ..core.preprocess import has_anomalies, normalize
 from ..core.result import VerificationResult
 from ..core.zones import Cluster, build_clusters
 
-__all__ = ["verify_2atomic_fzf", "is_2atomic_fzf", "check_viable", "candidate_orders"]
+__all__ = [
+    "verify_2atomic_fzf",
+    "is_2atomic_fzf",
+    "check_viable",
+    "candidate_orders",
+    "candidate_write_orders",
+]
 
 _ALGORITHM = "FZF"
 
@@ -157,12 +169,23 @@ def candidate_orders(chunk: Chunk) -> List[Tuple[Operation, ...]]:
     Duplicate orders (e.g. when ``T_F = T'_F``) are removed while preserving
     the order in which Figure 4 lists them.
     """
-    tf = tuple(cl.write for cl in chunk.forward_clusters)
+    return candidate_write_orders(
+        [cl.write for cl in chunk.forward_clusters],
+        [cl.write for cl in chunk.backward_clusters],
+    )
+
+
+def candidate_write_orders(
+    forward_writes: Sequence[Operation], backward_writes: Sequence[Operation]
+) -> List[Tuple[Operation, ...]]:
+    """:func:`candidate_orders` over a chunk's writes: ``forward_writes`` in
+    ``T_F`` order (increasing zone low endpoint) and the backward-cluster
+    writes."""
+    tf = tuple(forward_writes)
     if len(tf) >= 2:
         tf_prime = (tf[1], tf[0]) + tf[2:]
     else:
         tf_prime = tf
-    backward_writes = [cl.write for cl in chunk.backward_clusters]
     b = len(backward_writes)
     raw: List[Tuple[Operation, ...]]
     if b == 0:
@@ -209,7 +232,6 @@ def verify_2atomic_fzf(
     history: History,
     *,
     preprocess: bool = False,
-    columnar_path: Optional[bool] = None,
     kernel: Optional[str] = None,
 ) -> VerificationResult:
     """Decide whether ``history`` is 2-atomic using FZF.
@@ -222,17 +244,11 @@ def verify_2atomic_fzf(
     preprocess:
         When true, normalise the history first (timestamp tie-breaking and
         write shortening); anomalous histories yield a NO verdict.
-    columnar_path:
-        Legacy kernel switch: ``True``/``False`` force the columnar or object
-        kernels.  Superseded by ``kernel``.
     kernel:
-        ``"object"``, ``"columnar"`` or ``"numpy"``; ``None`` (default) picks
-        the fastest available tier (:func:`repro.core.vector.resolve_kernel`).
-        The columnar run (:func:`repro.core.columnar.fzf_verdict`) and its
-        vectorized twin (:func:`repro.core.vector.fzf_verdict_np`) are
-        index-based twins of the object path — identical verdicts, reasons
-        and stats — that decode indices back to operations only for the
-        witness.
+        ``"object"`` (this module, the reference) or ``"numpy"``
+        (:func:`repro.core.vector.fzf_verdict_np`, the default): identical
+        verdicts, reasons and stats; the numpy run decodes indices back to
+        operations only for the witness.
 
     Returns
     -------
@@ -241,8 +257,7 @@ def verify_2atomic_fzf(
     """
     if history.is_empty:
         return VerificationResult.yes(2, _ALGORITHM, witness=())
-    tier = vector.resolve_kernel(kernel, columnar_path)
-    if tier != "object":
+    if vector.resolve_kernel(kernel) == "numpy":
         if preprocess:
             # Check anomalies on the raw history (cheap object scan, cached)
             # so only the normalised history gets encoded.
@@ -251,23 +266,14 @@ def verify_2atomic_fzf(
                     2, _ALGORITHM, reason="history contains Section II-C anomalies"
                 )
             history = normalize(history)
-            col = columnar.columnar_of(history)
+            col = columnar_of(history)
         else:
-            col = columnar.columnar_of(history)
-            anomalous = (
-                vector.has_anomalies(col)
-                if tier == "numpy"
-                else col.has_anomalies()
-            )
-            if anomalous:
+            col = columnar_of(history)
+            if vector.has_anomalies(col):
                 return VerificationResult.no(
                     2, _ALGORITHM, reason="history contains Section II-C anomalies"
                 )
-        outcome = (
-            vector.fzf_verdict_np(col)
-            if tier == "numpy"
-            else columnar.fzf_verdict(col)
-        )
+        outcome = vector.fzf_verdict_np(col)
         if not outcome.ok:
             return VerificationResult.no(
                 2, _ALGORITHM, reason=outcome.reason, stats=outcome.stats

@@ -10,14 +10,17 @@ if
 This module implements the conditions with an ``O(n log n)`` sweep and is the
 baseline 1-AV algorithm of the library (the ``k = 1`` case of the unified
 API).  It reports which pair of zones violates a condition when the answer is
-NO, which is useful when auditing a storage system.
+NO, which is useful when auditing a storage system.  The sweep here is the
+reference; the default ``numpy`` kernel runs its vectorized twin
+(:func:`repro.core.vector.gk_result_np`).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
-from ..core import columnar, vector
+from ..core import vector
+from ..core.columnar import columnar_of
 from ..core.history import History
 from ..core.preprocess import has_anomalies
 from ..core.result import VerificationResult
@@ -66,25 +69,17 @@ def find_1atomicity_violation(history: History) -> Optional[Tuple[str, Cluster, 
     return None
 
 
-def verify_1atomic(
-    history: History,
-    *,
-    columnar_path: Optional[bool] = None,
-    kernel: Optional[str] = None,
-) -> VerificationResult:
+def verify_1atomic(history: History, *, kernel: Optional[str] = None) -> VerificationResult:
     """Decide whether ``history`` is 1-atomic (linearizable).
 
     The history must satisfy the Section II-C assumptions (anomaly-free,
     uniquely-valued writes); use :func:`repro.core.preprocess.normalize`
     first if unsure.
 
-    By default the zone conditions are evaluated by the fastest available
-    kernel tier (:func:`repro.core.vector.resolve_kernel`): the vectorized
-    numpy sweeps when numpy is importable, else the columnar kernel
-    (:func:`repro.core.columnar.gk_violation`) — both index-based twins of
+    By default the zone conditions are evaluated by the vectorized numpy
+    sweeps (:func:`repro.core.vector.gk_result_np`), an index-based twin of
     :func:`find_1atomicity_violation` with identical verdicts and reasons.
-    Pass ``kernel="object"`` (or the legacy ``columnar_path=False``) to force
-    the object-path sweep.
+    Pass ``kernel="object"`` to run the reference sweep.
 
     Returns
     -------
@@ -94,11 +89,8 @@ def verify_1atomic(
     """
     if history.is_empty:
         return VerificationResult.yes(1, _ALGORITHM, witness=(), reason="empty history")
-    tier = vector.resolve_kernel(kernel, columnar_path)
-    if tier == "numpy":
-        return vector.gk_result_np(columnar.columnar_of(history))
-    if tier == "columnar":
-        return _verify_1atomic_columnar(history)
+    if vector.resolve_kernel(kernel) == "numpy":
+        return vector.gk_result_np(columnar_of(history))
     if has_anomalies(history):
         return VerificationResult.no(
             1, _ALGORITHM, reason="history contains Section II-C anomalies"
@@ -120,38 +112,6 @@ def verify_1atomic(
             f"with cluster of value {b.value!r} (zone {b.zone!r})"
         ),
         stats={"clusters": len(history.writes)},
-    )
-
-
-def _verify_1atomic_columnar(history: History) -> VerificationResult:
-    """The columnar fast path of :func:`verify_1atomic` (non-empty input)."""
-    col = columnar.columnar_of(history)
-    if col.has_anomalies():
-        return VerificationResult.no(
-            1, _ALGORITHM, reason="history contains Section II-C anomalies"
-        )
-    violation = columnar.gk_violation(col)
-    stats = {"clusters": len(history.writes)}
-    if violation is None:
-        return VerificationResult.yes(
-            1,
-            _ALGORITHM,
-            reason="no overlapping forward zones and no backward zone inside a forward zone",
-            stats=stats,
-        )
-    # Decode only the two clusters named by the violation: the reason string
-    # matches the object path byte for byte.
-    condition, a, b = violation
-    return VerificationResult.no(
-        1,
-        _ALGORITHM,
-        reason=(
-            f"{condition}: cluster of value {col.cluster_value(a)!r} "
-            f"(zone {col.cluster_zone(a)!r}) conflicts "
-            f"with cluster of value {col.cluster_value(b)!r} "
-            f"(zone {col.cluster_zone(b)!r})"
-        ),
-        stats=stats,
     )
 
 

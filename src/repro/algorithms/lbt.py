@@ -282,7 +282,7 @@ class LBTChecker:
         # the suffix walks are array lookups, not attribute chases.
         self.ops: List[Operation] = list(history.operations)
         self.H = _LinkedList(len(self.ops))
-        if vector.resolve_kernel(kernel, None) == "numpy" and self.ops:
+        if vector.resolve_kernel(kernel) == "numpy" and self.ops:
             # Vectorized setup: the same columns, built with array ops
             # (lexsort / stable argsort) instead of per-operation Python.
             cols = vector.lbt_setup(history)
@@ -669,9 +669,9 @@ def verify_2atomic(
         (timestamp tie-breaking and write shortening).  Anomalous histories
         then yield a NO verdict instead of an exception.
     kernel:
-        Kernel tier for the checker's setup columns
+        Kernel for the checker's setup columns
         (:func:`repro.core.vector.resolve_kernel`); the epoch loops
-        themselves are inherently sequential and identical across tiers.
+        themselves are inherently sequential and identical for both.
     """
     if preprocess:
         if has_anomalies(history):

@@ -40,7 +40,7 @@ class AlgorithmSpec:
     #: The staleness bounds the algorithm can decide (``None`` = any k).
     supported_k: Optional[Sequence[int]]
     #: ``fn(history, k, **options) -> VerificationResult``.  Registered
-    #: adapters accept (and may ignore) keyword options such as ``columnar``;
+    #: adapters accept (and may ignore) keyword options such as ``kernel``;
     #: ad-hoc two-argument callables keep working through :meth:`run`.
     fn: Callable[..., VerificationResult]
     description: str
@@ -79,7 +79,7 @@ def _accepts_options(fn) -> bool:
                 p.kind is inspect.Parameter.VAR_KEYWORD
                 or (
                     p.kind is inspect.Parameter.KEYWORD_ONLY
-                    and p.name in ("columnar", "kernel")
+                    and p.name == "kernel"
                 )
                 for p in params
             )
@@ -91,15 +91,11 @@ _OPTION_SUPPORT: Dict[Callable, bool] = {}
 
 
 def _gk_adapter(
-    history: History,
-    k: int,
-    *,
-    columnar: Optional[bool] = None,
-    kernel: Optional[str] = None,
+    history: History, k: int, *, kernel: Optional[str] = None
 ) -> VerificationResult:
     if k != 1:
         raise VerificationError("GK decides only 1-atomicity")
-    return gk.verify_1atomic(history, columnar_path=columnar, kernel=kernel)
+    return gk.verify_1atomic(history, kernel=kernel)
 
 
 def _lbt_adapter(
@@ -117,15 +113,11 @@ def _lbt_reference_adapter(history: History, k: int, **_options) -> Verification
 
 
 def _fzf_adapter(
-    history: History,
-    k: int,
-    *,
-    columnar: Optional[bool] = None,
-    kernel: Optional[str] = None,
+    history: History, k: int, *, kernel: Optional[str] = None
 ) -> VerificationResult:
     if k != 2:
         raise VerificationError("FZF decides only 2-atomicity")
-    return fzf.verify_2atomic_fzf(history, columnar_path=columnar, kernel=kernel)
+    return fzf.verify_2atomic_fzf(history, kernel=kernel)
 
 
 def _exact_adapter(history: History, k: int, **_options) -> VerificationResult:

@@ -49,7 +49,6 @@ def staleness_bucket(
     *,
     resolve_exact: bool = False,
     max_exact_ops: int = DEFAULT_MAX_EXACT_OPS,
-    columnar: Optional[bool] = None,
 ) -> Tuple[StalenessBucket, Optional[int]]:
     """Classify one register history.
 
@@ -67,9 +66,9 @@ def staleness_bucket(
     if find_anomalies(history):
         return (StalenessBucket.ANOMALOUS, None)
     normalized = normalize(history)
-    if verify(normalized, 1, preprocess=False, columnar=columnar):
+    if verify(normalized, 1, preprocess=False):
         return (StalenessBucket.ATOMIC, 1)
-    if verify(normalized, 2, preprocess=False, columnar=columnar):
+    if verify(normalized, 2, preprocess=False):
         return (StalenessBucket.TWO_ATOMIC, 2)
     if resolve_exact and len(normalized) <= max_exact_ops:
         k = 3
@@ -264,7 +263,6 @@ def atomicity_spectrum(
     *,
     resolve_exact: bool = False,
     max_exact_ops: int = DEFAULT_MAX_EXACT_OPS,
-    columnar: Optional[bool] = None,
 ) -> StalenessSpectrum:
     """Compute the staleness spectrum of a multi-register trace."""
     verdicts: List[KeyVerdict] = []
@@ -274,7 +272,6 @@ def atomicity_spectrum(
             history,
             resolve_exact=resolve_exact,
             max_exact_ops=max_exact_ops,
-            columnar=columnar,
         )
         verdicts.append(
             KeyVerdict(

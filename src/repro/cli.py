@@ -158,7 +158,6 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
         partitioner=args.partitioner,
         algorithm=args.algorithm,
         max_exact_ops=args.max_exact_ops,
-        columnar=False if args.no_columnar else None,
         kernel=args.kernel,
         tier=args.tier,
     )
@@ -189,7 +188,6 @@ def _cmd_verify_remote(args: argparse.Namespace, out) -> int:
             ("--engine", args.engine != "serial"),
             ("--jobs", args.jobs is not None),
             ("--partitioner", args.partitioner != "size-balanced"),
-            ("--no-columnar", args.no_columnar),
             ("--kernel", args.kernel is not None),
             ("--tier", args.tier is not None),
             ("--stream-mode", args.stream_mode != "rolling"),
@@ -643,19 +641,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="register-to-shard assignment strategy (default size-balanced)",
     )
     p_verify.add_argument(
-        "--no-columnar",
-        action="store_true",
-        dest="no_columnar",
-        help="disable the columnar (struct-of-arrays) fast path and verify "
-        "through the object-model reference kernels",
-    )
-    p_verify.add_argument(
         "--kernel",
-        choices=["object", "columnar", "numpy"],
+        choices=["object", "numpy"],
         default=None,
-        help="kernel tier for the verification hot loops (default: fastest "
-        "available — numpy when importable, else columnar); all tiers "
-        "produce identical verdicts",
+        help="kernel for the verification hot loops: object (the reference) "
+        "or numpy (default); both produce identical verdicts",
     )
     p_verify.add_argument(
         "--tier",

@@ -11,6 +11,10 @@ Algorithm selection (``algorithm="auto"``):
 * ``k = 2`` → FZF (worst-case ``O(n log n)``); LBT can be requested by name,
 * ``k >= 3`` → the exact exponential oracle (no polynomial algorithm is known;
   the paper leaves this case open), guarded by ``max_exact_ops``.
+
+GK, FZF and LBT's setup run on one of two kernels (``kernel=``): ``"object"``,
+the reference over :class:`~repro.core.operation.Operation` objects, or
+``"numpy"`` (the default), its vectorized twin in :mod:`repro.core.vector`.
 """
 
 from __future__ import annotations
@@ -62,7 +66,6 @@ def verify(
     algorithm: str = "auto",
     preprocess: bool = True,
     max_exact_ops: int = DEFAULT_MAX_EXACT_OPS,
-    columnar: Optional[bool] = None,
     kernel: Optional[str] = None,
 ) -> VerificationResult:
     """Decide whether ``history`` is k-atomic.
@@ -83,17 +86,12 @@ def verify(
     max_exact_ops:
         Size guard for the automatic ``k >= 3`` fallback to the exponential
         oracle.
-    columnar:
-        Legacy kernel switch: ``True``/``False`` force or forbid the columnar
-        (struct-of-arrays) kernels for algorithms that have them (GK and
-        FZF).  Superseded by ``kernel``; ignored when ``kernel`` is given.
     kernel:
-        Kernel tier for algorithms that have tiered implementations:
-        ``"object"``, ``"columnar"`` or ``"numpy"`` (the vectorized kernels
-        of :mod:`repro.core.vector`).  ``None`` (the default) picks the
-        fastest enabled tier — ``numpy`` when numpy is importable.  All
-        tiers produce identical results; the flag exists for benchmarks and
-        cross-validation.
+        ``"object"`` (the reference implementation over operations) or
+        ``"numpy"`` (the vectorized kernels of :mod:`repro.core.vector`,
+        the default) for the algorithms that have both (GK, FZF and LBT's
+        setup).  Both produce identical results; the option exists for
+        benchmarks and cross-validation.
 
     Returns
     -------
@@ -132,7 +130,7 @@ def verify(
             f"algorithm {spec.name!r} cannot decide {k}-atomicity; "
             f"it supports k in {tuple(spec.supported_k)}"
         )
-    return spec.run(history, k, columnar=columnar, kernel=kernel)
+    return spec.run(history, k, kernel=kernel)
 
 
 def verify_trace(
@@ -144,7 +142,6 @@ def verify_trace(
     max_exact_ops: int = DEFAULT_MAX_EXACT_OPS,
     executor: str = "serial",
     jobs: Optional[int] = None,
-    columnar: Optional[bool] = None,
     kernel: Optional[str] = None,
 ) -> Dict[Hashable, VerificationResult]:
     """Verify every per-register history of a multi-register trace.
@@ -168,7 +165,6 @@ def verify_trace(
         algorithm=algorithm,
         preprocess=preprocess,
         max_exact_ops=max_exact_ops,
-        columnar=columnar,
         kernel=kernel,
     ).verify_trace(trace, k)
     return dict(report.results)

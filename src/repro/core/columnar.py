@@ -1,11 +1,10 @@
-"""Columnar (struct-of-arrays) fast path for the verification kernels.
+"""Columnar (struct-of-arrays) encoding of single-register histories.
 
 The object model — frozen :class:`~repro.core.operation.Operation` dataclasses
 indexed by :class:`~repro.core.history.History` — is the right *public*
 contract, but it is a poor *hot-path* representation in CPython: every sweep
 pays an attribute lookup (and often a bound-method call) per operation per
-pass, and the ``O(n log n + c·n)`` bounds of the paper drown in interpreter
-overhead long before the asymptotics matter.
+pass.
 
 :class:`ColumnarHistory` re-encodes a single-register history as parallel
 columns:
@@ -26,21 +25,14 @@ without ever materialising ``Operation`` objects
 (:meth:`ColumnarHistory.from_rows`); operations are decoded lazily, only when
 a caller needs a witness or a NO-reason.
 
-On top of the encoding this module implements the hot kernels as index-based
-loops: the Section II-C anomaly scan, cluster/zone construction
-(:class:`ClusterArrays`), the Gibbons–Korach forward-overlap and
-backward-in-forward sweeps, the FZF Stage-1 chunk decomposition and the
-Stage-2 viability check.  Each kernel mirrors its object-path counterpart in
-:mod:`repro.algorithms.gk`, :mod:`repro.core.chunks` and
-:mod:`repro.algorithms.fzf` step for step — identical verdicts, identical
-reason strings, identical stats — so the two paths stay interchangeable and
-cross-checkable.
+The kernels that run over the encoding live in :mod:`repro.core.vector`;
+:class:`RowColumns` and :class:`RowsByKey` are the file-order ingestion side
+the batch decoder fills.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
 from itertools import compress, repeat
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
@@ -48,49 +40,13 @@ from . import operation as _operation
 from .errors import DuplicateValueError, MalformedOperationError
 from .history import History
 from .operation import Operation, OpType, trusted_operation
-from .zones import Zone
 
 __all__ = [
     "ColumnarHistory",
     "RowColumns",
     "RowsByKey",
-    "ClusterArrays",
     "columnar_of",
-    "default_enabled",
-    "set_default_enabled",
-    "gk_violation",
-    "chunk_decomposition",
-    "fzf_verdict",
-    "FZFOutcome",
 ]
-
-# ----------------------------------------------------------------------
-# Global default for the fast path (overridable per verify() call)
-# ----------------------------------------------------------------------
-_DEFAULT_ENABLED = True
-
-
-def default_enabled() -> bool:
-    """Whether verifiers pick the columnar kernels when not told explicitly."""
-    return _DEFAULT_ENABLED
-
-
-def set_default_enabled(enabled: bool) -> bool:
-    """Set the process-wide columnar default; returns the previous value.
-
-    The object path remains the reference implementation; this switch exists
-    for benchmarks, parity tests and ``repro verify --no-columnar``.
-    """
-    global _DEFAULT_ENABLED
-    previous = _DEFAULT_ENABLED
-    _DEFAULT_ENABLED = bool(enabled)
-    return previous
-
-
-def resolve(columnar: Optional[bool]) -> bool:
-    """Resolve a per-call ``columnar`` option against the process default."""
-    return _DEFAULT_ENABLED if columnar is None else bool(columnar)
-
 
 class ColumnarHistory:
     """A single-register history encoded as parallel columns.
@@ -120,7 +76,6 @@ class ColumnarHistory:
         "writes_idx",
         "_ops",
         "_history",
-        "_clusters",
         "_anomalous",
         "_vector",
         "row_of",
@@ -145,7 +100,7 @@ class ColumnarHistory:
         self.writes_idx: List[int] = []
         self._ops: List[Optional[Operation]] = []
         self._history: Optional[History] = None
-        self._clusters: Optional[ClusterArrays] = None
+        # Memo of the Section II-C anomaly scan (repro.core.vector).
         self._anomalous: Optional[bool] = None
         # Derived numpy-side state (cluster/chunk tables), owned by
         # repro.core.vector; None until the vectorized kernels touch this
@@ -432,7 +387,7 @@ class ColumnarHistory:
         """Materialise the :class:`History` view of this encoding.
 
         The history's derived-structure cache is seeded with this encoding,
-        so verifying the returned history goes straight through the columnar
+        so verifying the returned history goes straight through the numpy
         kernels without re-encoding.
         """
         if self._history is None:
@@ -440,58 +395,6 @@ class ColumnarHistory:
             history._derived.setdefault("columnar", self)
             self._history = history
         return self._history
-
-    # ------------------------------------------------------------------
-    # Kernels: anomaly scan and cluster construction
-    # ------------------------------------------------------------------
-    def has_anomalies(self) -> bool:
-        """Columnar Section II-C anomaly scan (memoized).
-
-        True iff some read returns a never-written value or finishes before
-        its dictating write starts — exactly
-        :func:`repro.core.preprocess.has_anomalies`.  The scan runs once per
-        encoding; repeated verifier calls (GK then FZF, the per-k spectrum
-        sweep) reuse the cached answer.
-        """
-        if self._anomalous is None:
-            self._anomalous = self._scan_anomalies()
-        return self._anomalous
-
-    def _scan_anomalies(self) -> bool:
-        is_write = self.is_write
-        dictating = self.dictating
-        finish = self.finish
-        start = self.start
-        for i in range(self.n):
-            if is_write[i]:
-                continue
-            w = dictating[i]
-            if w < 0 or finish[i] < start[w]:
-                return True
-        return False
-
-    def cluster_arrays(self) -> "ClusterArrays":
-        """The cluster/zone table of the history (memoized).
-
-        Requires an anomaly-free history (every read must have a dictating
-        write); mirrors :func:`repro.core.zones.build_clusters` including the
-        ``(low, high, write op id)`` sort order.
-        """
-        if self._clusters is None:
-            self._clusters = ClusterArrays._build(self)
-        return self._clusters
-
-    def cluster_zone(self, cluster_index: int) -> Zone:
-        """Decode the :class:`~repro.core.zones.Zone` of one cluster."""
-        ca = self.cluster_arrays()
-        return Zone(
-            min_finish=ca.min_finish[cluster_index],
-            max_start=ca.max_start[cluster_index],
-        )
-
-    def cluster_value(self, cluster_index: int) -> Hashable:
-        """The value written by a cluster's dictating write."""
-        return self.value_of(self.cluster_arrays().write[cluster_index])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         key = "" if self.key is None else f" key={self.key!r}"
@@ -708,417 +611,3 @@ def _intern(index: Dict[Hashable, int], table: List[Hashable], item: Hashable) -
 def columnar_of(history: History) -> ColumnarHistory:
     """The columnar encoding of ``history``, memoized on the instance."""
     return history.cached("columnar", lambda: ColumnarHistory.from_history(history))
-
-
-class ClusterArrays:
-    """Struct-of-arrays cluster table, sorted like ``build_clusters``.
-
-    ``write[c]`` is the op index of cluster ``c``'s dictating write and
-    ``reads[c]`` the ascending op indices of its dictated reads;
-    ``min_finish``/``max_start`` are the zone endpoints (``Z.f``/``Z.s̄``),
-    ``low``/``high`` their min/max, and ``forward[c]`` the forward-zone flag.
-    ``cluster_of_write_ord`` maps a write's ordinal (its rank among writes in
-    history order) to its cluster index.
-    """
-
-    __slots__ = (
-        "num",
-        "write",
-        "reads",
-        "min_finish",
-        "max_start",
-        "low",
-        "high",
-        "forward",
-        "cluster_of_write_ord",
-    )
-
-    @classmethod
-    def _build(cls, col: ColumnarHistory) -> "ClusterArrays":
-        writes_idx = col.writes_idx
-        num = len(writes_idx)
-        start = col.start
-        finish = col.finish
-        dictating = col.dictating
-        write_ord = col.write_ord
-        is_write = col.is_write
-        min_finish = [finish[w] for w in writes_idx]
-        max_start = [start[w] for w in writes_idx]
-        reads: List[List[int]] = [[] for _ in range(num)]
-        for i in range(col.n):
-            if is_write[i]:
-                continue
-            w = dictating[i]
-            if w < 0:
-                from .errors import HistoryError
-
-                raise HistoryError(
-                    f"read #{col.op_ids[i]} has no dictating write; normalise "
-                    "the history with repro.core.preprocess.normalize() first"
-                )
-            ordinal = write_ord[w]
-            reads[ordinal].append(i)
-            f = finish[i]
-            if f < min_finish[ordinal]:
-                min_finish[ordinal] = f
-            s = start[i]
-            if s > max_start[ordinal]:
-                max_start[ordinal] = s
-        op_ids = col.op_ids
-        order = sorted(
-            range(num),
-            key=lambda o: (
-                min(min_finish[o], max_start[o]),
-                max(min_finish[o], max_start[o]),
-                op_ids[writes_idx[o]],
-            ),
-        )
-        ca = object.__new__(cls)
-        ca.num = num
-        ca.write = [writes_idx[o] for o in order]
-        ca.reads = [reads[o] for o in order]
-        ca.min_finish = [min_finish[o] for o in order]
-        ca.max_start = [max_start[o] for o in order]
-        ca.low = [min(mf, ms) for mf, ms in zip(ca.min_finish, ca.max_start)]
-        ca.high = [max(mf, ms) for mf, ms in zip(ca.min_finish, ca.max_start)]
-        ca.forward = [mf < ms for mf, ms in zip(ca.min_finish, ca.max_start)]
-        cluster_of_write_ord = [0] * num
-        for c, o in enumerate(order):
-            cluster_of_write_ord[o] = c
-        ca.cluster_of_write_ord = cluster_of_write_ord
-        return ca
-
-    def cluster_ops(self, cluster_index: int) -> List[int]:
-        """All op indices of one cluster (write first, then its reads)."""
-        return [self.write[cluster_index]] + self.reads[cluster_index]
-
-
-# ======================================================================
-# Gibbons–Korach sweeps (columnar twin of algorithms.gk)
-# ======================================================================
-def gk_violation(col: ColumnarHistory) -> Optional[Tuple[str, int, int]]:
-    """Columnar Gibbons–Korach violation scan.
-
-    Returns ``(condition, cluster_a, cluster_b)`` with *cluster indices* into
-    :meth:`ColumnarHistory.cluster_arrays`, or ``None`` when the history is
-    1-atomic.  Mirrors
-    :func:`repro.algorithms.gk.find_1atomicity_violation` exactly, including
-    which pair of clusters is reported.
-    """
-    ca = col.cluster_arrays()
-    forward = ca.forward
-    low = ca.low
-    high = ca.high
-    # Condition 1: no two forward zones overlap.  The cluster table is sorted
-    # by low endpoint, so the forward subsequence is too.
-    forward_indices: List[int] = []
-    prev = -1
-    running_high = float("-inf")
-    for c in range(ca.num):
-        if not forward[c]:
-            continue
-        forward_indices.append(c)
-        if prev != -1 and low[c] <= running_high:
-            return ("forward-overlap", prev, c)
-        if high[c] > running_high:
-            running_high = high[c]
-            prev = c
-    # Condition 2: no backward zone contained in a forward zone, via a
-    # merge-style scan over the two sorted subsequences.
-    fi = 0
-    num_forward = len(forward_indices)
-    for c in range(ca.num):
-        if forward[c]:
-            continue
-        while fi < num_forward and high[forward_indices[fi]] < low[c]:
-            fi += 1
-        if fi < num_forward:
-            f = forward_indices[fi]
-            if low[f] <= low[c] and high[c] <= high[f]:
-                return ("backward-in-forward", f, c)
-    return None
-
-
-# ======================================================================
-# Chunk decomposition (columnar twin of core.chunks)
-# ======================================================================
-def chunk_decomposition(
-    col: ColumnarHistory,
-) -> Tuple[List[Tuple[List[int], List[int]]], List[int], List[Tuple[float, float]]]:
-    """Columnar FZF Stage 1.
-
-    Returns ``(chunks, dangling, intervals)`` where each chunk is a pair of
-    cluster-index lists ``(forward, backward)`` (forward sorted by zone low
-    endpoint — the ``T_F`` order), ``dangling`` lists the cluster indices
-    outside every chunk, and ``intervals[i]`` is chunk ``i``'s continuous
-    forward-zone interval.  Mirrors
-    :func:`repro.core.chunks.compute_chunk_set`.
-    """
-    ca = col.cluster_arrays()
-    low = ca.low
-    high = ca.high
-    forward_flags = ca.forward
-    # Merge overlapping forward zones into chains with continuous unions.
-    chains: List[List[int]] = []
-    chain_low: List[float] = []
-    chain_high: List[float] = []
-    for c in range(ca.num):
-        if not forward_flags[c]:
-            continue
-        if chains and low[c] <= chain_high[-1]:
-            chains[-1].append(c)
-            if high[c] > chain_high[-1]:
-                chain_high[-1] = high[c]
-        else:
-            chains.append([c])
-            chain_low.append(low[c])
-            chain_high.append(high[c])
-    chunk_backward: List[List[int]] = [[] for _ in chains]
-    dangling: List[int] = []
-    for c in range(ca.num):
-        if forward_flags[c]:
-            continue
-        zone_low = low[c]
-        idx = bisect_right(chain_low, zone_low) - 1
-        if idx >= 0 and chain_low[idx] <= zone_low and high[c] <= chain_high[idx]:
-            chunk_backward[idx].append(c)
-        else:
-            dangling.append(c)
-    chunks = list(zip(chains, chunk_backward))
-    intervals = list(zip(chain_low, chain_high))
-    return chunks, dangling, intervals
-
-
-# ======================================================================
-# FZF Stage 2/3 (columnar twin of algorithms.fzf)
-# ======================================================================
-class FZFOutcome:
-    """Raw result of the columnar FZF run, before decoding to Operations."""
-
-    __slots__ = ("ok", "witness", "reason", "stats")
-
-    def __init__(self, ok: bool, witness: Optional[List[int]], reason: str, stats: Dict[str, int]):
-        self.ok = ok
-        self.witness = witness
-        self.reason = reason
-        self.stats = stats
-
-
-def _check_viable_columnar(
-    col: ColumnarHistory,
-    order: Sequence[int],
-    ops_local: List[int],
-    reads_of_write: Dict[int, List[int]],
-) -> Optional[List[int]]:
-    """Columnar twin of :func:`repro.algorithms.fzf.check_viable`.
-
-    ``order`` is a candidate sequence of write op indices; ``ops_local`` the
-    ascending op indices of the chunk.  Returns the extended witness as op
-    indices, or ``None`` when the order is not viable.
-    """
-    n = len(ops_local)
-    pos: Dict[int, int] = {op: p for p, op in enumerate(ops_local)}
-    prev = list(range(-1, n - 1))
-    nxt = list(range(1, n + 1))
-    if n:
-        nxt[n - 1] = -1
-    tail = n - 1
-    removed = bytearray(n)
-    remaining = n
-    start = col.start
-    finish = col.finish
-    is_write = col.is_write
-    dictating = col.dictating
-
-    segments: List[List[int]] = []
-    for oi in range(len(order) - 1, -1, -1):
-        w = order[oi]
-        pred = order[oi - 1] if oi > 0 else -1
-        w_pos = pos.get(w)
-        if w_pos is None or removed[w_pos]:
-            return None
-        container: List[int] = []
-        w_finish = finish[w]
-        # Operations starting after w's finish form a suffix of the remaining
-        # chunk operations (sorted by start).
-        j = tail
-        while j != -1 and start[ops_local[j]] > w_finish:
-            op = ops_local[j]
-            nxt_j = prev[j]
-            if is_write[op]:
-                return None
-            dw = dictating[op]
-            if dw != w and dw != pred:
-                return None
-            container.append(op)
-            # Unlink j.
-            p, nx = prev[j], nxt[j]
-            if p != -1:
-                nxt[p] = nx
-            if nx != -1:
-                prev[nx] = p
-            else:
-                tail = p
-            removed[j] = 1
-            remaining -= 1
-            j = nxt_j
-        for r in reads_of_write.get(w, ()):
-            rp = pos.get(r)
-            if rp is not None and not removed[rp]:
-                container.append(r)
-                p, nx = prev[rp], nxt[rp]
-                if p != -1:
-                    nxt[p] = nx
-                if nx != -1:
-                    prev[nx] = p
-                else:
-                    tail = p
-                removed[rp] = 1
-                remaining -= 1
-        if not removed[w_pos]:
-            p, nx = prev[w_pos], nxt[w_pos]
-            if p != -1:
-                nxt[p] = nx
-            if nx != -1:
-                prev[nx] = p
-            else:
-                tail = p
-            removed[w_pos] = 1
-            remaining -= 1
-        container.sort()
-        container.insert(0, w)
-        segments.append(container)
-    if remaining:
-        return None
-    witness: List[int] = []
-    for segment in reversed(segments):
-        witness.extend(segment)
-    return witness
-
-
-def _candidate_orders_columnar(
-    tf: Tuple[int, ...], backward_writes: List[int]
-) -> List[Tuple[int, ...]]:
-    """Columnar twin of :func:`repro.algorithms.fzf.candidate_orders`."""
-    if len(tf) >= 2:
-        tf_prime = (tf[1], tf[0]) + tf[2:]
-    else:
-        tf_prime = tf
-    b = len(backward_writes)
-    raw: List[Tuple[int, ...]]
-    if b == 0:
-        raw = [tf, tf_prime]
-    elif b == 1:
-        w = backward_writes[0]
-        raw = [(w,) + tf, tf + (w,), (w,) + tf_prime, tf_prime + (w,)]
-    elif b == 2:
-        w1, w2 = backward_writes
-        raw = [
-            (w1,) + tf + (w2,),
-            (w2,) + tf + (w1,),
-            (w1,) + tf_prime + (w2,),
-            (w2,) + tf_prime + (w1,),
-        ]
-    else:
-        raw = []
-    seen = set()
-    unique: List[Tuple[int, ...]] = []
-    for order in raw:
-        if order not in seen:
-            seen.add(order)
-            unique.append(order)
-    return unique
-
-
-def fzf_verdict(col: ColumnarHistory) -> FZFOutcome:
-    """Columnar FZF over an anomaly-free, non-empty history.
-
-    Produces the same verdict, reason string and stats as
-    :func:`repro.algorithms.fzf.verify_2atomic_fzf` (empty/anomalous inputs
-    are the caller's responsibility, as in the object path); the witness is
-    returned as op indices for the caller to decode.
-    """
-    ca = col.cluster_arrays()
-    chunks, dangling, intervals = chunk_decomposition(col)
-    stats = {
-        "chunks": len(chunks),
-        "dangling_clusters": len(dangling),
-        "orders_tested": 0,
-    }
-    orders_tested = 0
-    reads_of_write: Optional[Dict[int, List[int]]] = None
-    write_of = ca.write
-    reads_of = ca.reads
-    low = ca.low
-
-    pieces: List[Tuple[float, List[int]]] = []
-    for chunk_index, (forward_clusters, backward_clusters) in enumerate(chunks):
-        if len(forward_clusters) == 1 and not backward_clusters:
-            # A lone forward cluster is always viable: its single candidate
-            # order places the write first and its reads after (the object
-            # path tests exactly one order here and always succeeds).
-            orders_tested += 1
-            c = forward_clusters[0]
-            # ca.reads lists are already ascending, so the object path's
-            # container sort is a no-op here.
-            pieces.append((low[c], [write_of[c]] + reads_of[c]))
-            continue
-        if len(backward_clusters) >= 3:
-            interval_low, interval_high = intervals[chunk_index]
-            stats["orders_tested"] = orders_tested
-            return FZFOutcome(
-                False,
-                None,
-                (
-                    f"chunk spanning [{interval_low:g}, {interval_high:g}] "
-                    f"contains {len(backward_clusters)} backward clusters (>= 3), "
-                    "so no viable write order exists (Lemma 4.3)"
-                ),
-                stats,
-            )
-        if reads_of_write is None:
-            reads_of_write = {write_of[c]: reads_of[c] for c in range(ca.num)}
-        chunk_ops: List[int] = []
-        for c in forward_clusters:
-            chunk_ops.append(write_of[c])
-            chunk_ops.extend(reads_of[c])
-        for c in backward_clusters:
-            chunk_ops.append(write_of[c])
-            chunk_ops.extend(reads_of[c])
-        chunk_ops.sort()
-        tf = tuple(write_of[c] for c in forward_clusters)
-        backward_writes = [write_of[c] for c in backward_clusters]
-        chunk_witness: Optional[List[int]] = None
-        for order in _candidate_orders_columnar(tf, backward_writes):
-            orders_tested += 1
-            extended = _check_viable_columnar(col, order, chunk_ops, reads_of_write)
-            if extended is not None:
-                chunk_witness = extended
-                break
-        if chunk_witness is None:
-            interval_low, interval_high = intervals[chunk_index]
-            stats["orders_tested"] = orders_tested
-            return FZFOutcome(
-                False,
-                None,
-                (
-                    f"no candidate write order is viable for the chunk spanning "
-                    f"[{interval_low:g}, {interval_high:g}] "
-                    f"({len(forward_clusters)} forward / "
-                    f"{len(backward_clusters)} backward clusters)"
-                ),
-                stats,
-            )
-        # The chunk's minimum zone low endpoint is its first forward
-        # cluster's: backward clusters only join a chunk whose interval
-        # already covers their zone.
-        pieces.append((low[forward_clusters[0]], chunk_witness))
-
-    for c in dangling:
-        pieces.append((low[c], [write_of[c]] + reads_of[c]))
-    pieces.sort(key=lambda item: item[0])
-    witness: List[int] = []
-    for _, piece in pieces:
-        witness.extend(piece)
-    stats["orders_tested"] = orders_tested
-    return FZFOutcome(True, witness, "", stats)

@@ -1,11 +1,10 @@
-"""NumPy-vectorized kernel tier (the top of the ``object → columnar → numpy``
-ladder).
+"""NumPy-vectorized kernels: the fast path of the ``object`` / ``numpy`` pair.
 
-The columnar kernels of :mod:`repro.core.columnar` removed the per-operation
-attribute chases, but their sweeps are still Python ``for`` loops over
-``array('d')`` columns — every comparison pays interpreter dispatch.  This
-module ports the same kernels to vectorized numpy primitives (``lexsort``,
-``searchsorted``, ``reduceat``, cumulative max, boolean masks):
+The object model (:mod:`repro.algorithms.gk`, :mod:`repro.core.chunks`,
+:mod:`repro.algorithms.fzf`) is the reference implementation.  This module
+runs the same kernels over a :class:`~repro.core.columnar.ColumnarHistory`
+with vectorized numpy primitives (``lexsort``, ``searchsorted``,
+``reduceat``, cumulative max, boolean masks):
 
 * the Section II-C anomaly scan,
 * cluster/zone table construction (:class:`ClusterTableNP`),
@@ -15,19 +14,16 @@ module ports the same kernels to vectorized numpy primitives (``lexsort``,
 * the LBT setup columns (the epoch loops themselves are inherently
   sequential and unchanged).
 
-Every kernel is an exact twin of its columnar counterpart — same verdicts,
-same NO-reason strings, same witnesses, same stats — and the parity is
-enforced by ``tests/test_columnar.py`` and the differential fuzz harness.
-Rare irregular cases (non-trivial FZF chunks, timestamp ties during
-normalisation) fall back to the columnar/object code paths, so vectorization
-never changes an answer.
+Every kernel reproduces the object path exactly — same verdicts, same
+NO-reason strings, same witnesses, same stats — and the parity is enforced
+by ``tests/test_columnar.py`` and the differential fuzz harness.  Rare
+irregular cases fall back to the paper's own routines: FZF chunks that are
+neither a lone forward cluster nor a passing forward chain run
+:func:`repro.algorithms.fzf.check_viable` on their decoded operations, and
+timestamp ties during normalisation take the object path.
 
-Kernel selection is tiered (:func:`resolve_kernel`): an explicit
-``kernel=`` wins, then the legacy ``columnar`` boolean, then the process
-defaults — ``numpy`` when importable and enabled, else ``columnar``, else
-``object``.  numpy is an optional dependency at runtime: when it is missing,
-:data:`NUMPY_AVAILABLE` is false, auto-selection skips the tier, and asking
-for ``kernel="numpy"`` explicitly raises.
+Kernel selection (:func:`resolve_kernel`): an explicit ``kernel=`` name
+wins, otherwise ``numpy``.
 
 The module also provides the kernel-level entry point
 :func:`verify_columnar`, which verifies a :class:`ColumnarHistory` *without
@@ -43,23 +39,13 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict, Hashable, List, NamedTuple, Optional, Tuple
 
-try:  # pragma: no cover - exercised via both branches in CI matrices
-    import numpy as np
-
-    NUMPY_AVAILABLE = True
-except ImportError:  # pragma: no cover
-    np = None
-    NUMPY_AVAILABLE = False
+import numpy as np
 
 from .errors import VerificationError
 from .result import VerificationResult
 
 __all__ = [
-    "NUMPY_AVAILABLE",
     "KERNELS",
-    "available",
-    "default_enabled",
-    "set_default_enabled",
     "resolve_kernel",
     "ClusterTableNP",
     "ChunkTableNP",
@@ -67,6 +53,7 @@ __all__ = [
     "chunk_table",
     "has_anomalies",
     "gk_violation_np",
+    "FZFOutcome",
     "fzf_verdict_np",
     "gk_result_np",
     "fzf_result_np",
@@ -77,73 +64,23 @@ __all__ = [
     "verify_columnar",
 ]
 
-#: The kernel tiers, slowest to fastest.
-KERNELS = ("object", "columnar", "numpy")
-
-# ----------------------------------------------------------------------
-# Tier selection
-# ----------------------------------------------------------------------
-_DEFAULT_ENABLED = True
+#: The kernels: the object reference and its numpy fast path.
+KERNELS = ("object", "numpy")
 
 
-def available() -> bool:
-    """Whether the numpy tier can run at all (numpy is importable)."""
-    return NUMPY_AVAILABLE
+def resolve_kernel(kernel: Optional[str] = None) -> str:
+    """The kernel for one verifier call: an explicit name, else ``numpy``.
 
-
-def default_enabled() -> bool:
-    """Whether auto-selection may pick the numpy tier."""
-    return _DEFAULT_ENABLED
-
-
-def set_default_enabled(enabled: bool) -> bool:
-    """Set the process-wide numpy-tier default; returns the previous value.
-
-    The columnar and object paths remain the reference implementations; this
-    switch exists for benchmarks, parity tests and ``repro verify --kernel``.
+    Unknown names raise :class:`~repro.core.errors.VerificationError`.
     """
-    global _DEFAULT_ENABLED
-    previous = _DEFAULT_ENABLED
-    _DEFAULT_ENABLED = bool(enabled)
-    return previous
-
-
-def resolve_kernel(
-    kernel: Optional[str] = None, columnar_path: Optional[bool] = None
-) -> str:
-    """Resolve the kernel tier for one verifier call.
-
-    Precedence: an explicit ``kernel`` name wins; else the legacy ``columnar``
-    boolean maps ``True → "columnar"`` / ``False → "object"``; else the
-    process defaults pick the fastest enabled tier (``numpy`` when importable
-    and :func:`default_enabled`, else ``columnar`` when
-    :func:`repro.core.columnar.default_enabled`, else ``object``).
-
-    Asking for ``kernel="numpy"`` when numpy is not importable raises
-    :class:`~repro.core.errors.VerificationError` — auto-selection never
-    picks an unavailable tier, so the error only fires on explicit requests.
-    """
-    from . import columnar as _columnar
-
-    if kernel is not None:
-        key = str(kernel).strip().lower()
-        if key not in KERNELS:
-            raise VerificationError(
-                f"unknown kernel {kernel!r}; available: {', '.join(KERNELS)}"
-            )
-        if key == "numpy" and not NUMPY_AVAILABLE:
-            raise VerificationError(
-                "kernel='numpy' was requested but numpy is not importable; "
-                "install numpy or pick kernel='columnar'/'object'"
-            )
-        return key
-    if columnar_path is not None:
-        return "columnar" if columnar_path else "object"
-    if not _columnar.default_enabled():
-        return "object"
-    if NUMPY_AVAILABLE and _DEFAULT_ENABLED:
+    if kernel is None:
         return "numpy"
-    return "columnar"
+    key = str(kernel).strip().lower()
+    if key not in KERNELS:
+        raise VerificationError(
+            f"unknown kernel {kernel!r}; available: {', '.join(KERNELS)}"
+        )
+    return key
 
 
 # ----------------------------------------------------------------------
@@ -236,19 +173,23 @@ def _scan_anomalies_np(col) -> bool:
 
 
 def has_anomalies(col) -> bool:
-    """Vectorized twin of :meth:`ColumnarHistory.has_anomalies` (shared memo)."""
+    """The Section II-C anomaly scan, memoized on the encoding.
+
+    True iff some read returns a never-written value or finishes before its
+    dictating write starts — exactly :func:`repro.core.preprocess.has_anomalies`.
+    """
     if col._anomalous is None:
         col._anomalous = _scan_anomalies_np(col)
     return col._anomalous
 
 
 # ----------------------------------------------------------------------
-# Cluster/zone table (twin of columnar.ClusterArrays)
+# Cluster/zone table (twin of zones.build_clusters)
 # ----------------------------------------------------------------------
 class ClusterTableNP:
     """Struct-of-ndarray cluster table, sorted like ``build_clusters``.
 
-    Same contents and sort order as :class:`repro.core.columnar.ClusterArrays`
+    Same clusters and sort order as :func:`repro.core.zones.build_clusters`
     — ``(low, high, write op id)`` ascending — with the per-cluster read lists
     flattened into a CSR pair (``reads_sorted``/``reads_off``); cluster ``c``'s
     reads are ``reads_sorted[reads_off[c]:reads_off[c+1]]``, ascending.
@@ -341,11 +282,11 @@ def _build_cluster_table(col) -> ClusterTableNP:
 # Gibbons–Korach sweeps
 # ----------------------------------------------------------------------
 def gk_violation_np(col) -> Optional[Tuple[str, int, int]]:
-    """Vectorized twin of :func:`repro.core.columnar.gk_violation`.
+    """Vectorized twin of :func:`repro.algorithms.gk.find_1atomicity_violation`.
 
     Returns ``(condition, cluster_a, cluster_b)`` with indices into the
     (identically sorted) cluster table, or ``None`` when 1-atomic.  The pair
-    reported for each condition matches the columnar/object sweeps exactly.
+    reported for each condition matches the object sweep exactly.
     """
     ct = cluster_table(col)
     fidx = np.flatnonzero(ct.forward)
@@ -388,7 +329,7 @@ def gk_violation_np(col) -> Optional[Tuple[str, int, int]]:
 # FZF Stage 1: chunk decomposition
 # ----------------------------------------------------------------------
 class ChunkTableNP:
-    """Vectorized chunk decomposition (twin of ``chunk_decomposition``).
+    """Vectorized chunk decomposition (twin of ``chunks.compute_chunk_set``).
 
     ``fidx`` lists the forward-cluster indices in cluster order;
     ``chain_starts[i]`` is the offset in ``fidx`` where chunk ``i`` begins and
@@ -457,15 +398,26 @@ def _csr_gather(values, starts, counts):
     return values[src]
 
 
-def fzf_verdict_np(col):
-    """Vectorized twin of :func:`repro.core.columnar.fzf_verdict`.
+class FZFOutcome(NamedTuple):
+    """Raw result of :func:`fzf_verdict_np`; a YES witness is op indices."""
 
-    Same verdict, reason string, stats and (op-index) witness.  Trivial
-    chunks — a lone forward cluster, no backward clusters — and dangling
-    clusters are handled entirely with array ops; the rare irregular chunks
-    reuse the columnar candidate-order/viability machinery per chunk.
+    ok: bool
+    witness: Any
+    reason: str
+    stats: Dict[str, int]
+
+
+def fzf_verdict_np(col) -> FZFOutcome:
+    """Vectorized twin of :func:`repro.algorithms.fzf.verify_2atomic_fzf`.
+
+    Same verdict, reason string, stats and (op-index) witness over an
+    anomaly-free, non-empty encoding.  Trivial chunks — a lone forward
+    cluster, no backward clusters — and dangling clusters are handled
+    entirely with array ops; the rare irregular chunks run the paper's
+    viability routine, :func:`repro.algorithms.fzf.check_viable`, on their
+    decoded operations.
     """
-    from .columnar import FZFOutcome, _candidate_orders_columnar, _check_viable_columnar
+    from ..algorithms import fzf  # local: the algorithms build on this module
 
     ct = cluster_table(col)
     ch = chunk_table(col)
@@ -516,12 +468,9 @@ def fzf_verdict_np(col):
     # no backward clusters) are batch-checked against their first candidate
     # order — the chain order itself — with closed-form conditions
     # (:func:`_chain_order_check`); only chunks with backward clusters and
-    # chains whose first order fails fall back to the per-chunk columnar
-    # viability machinery, in chunk order so failure reporting and the
-    # ``orders_tested`` accounting stay identical to the sequential path.
-    def reads_list(c: int) -> List[int]:
-        return rsorted[int(roff[c]) : int(roff[c + 1])].tolist()
-
+    # chains whose first order fails fall back to fzf.check_viable, in chunk
+    # order so failure reporting and the ``orders_tested`` accounting stay
+    # identical to the object path.
     chain_mask = (nf >= 2) & (nb == 0)
     chain_pass, chain_ops_arr, chain_pid = _chain_order_check(col, ct, ch, chain_mask)
 
@@ -550,17 +499,24 @@ def fzf_verdict_np(col):
                 ),
                 stats,
             )
-        clusters = np.concatenate((f_cl, b_cl))
-        counts = roff[clusters + 1] - roff[clusters]
-        chunk_ops = np.sort(
-            np.concatenate(
-                (ct.write[clusters], _csr_gather(rsorted, roff[clusters], counts))
-            )
-        ).tolist()
-        tf = tuple(int(w) for w in ct.write[f_cl])
-        backward_writes = [int(w) for w in ct.write[b_cl]]
-        reads_of_write = {int(ct.write[c]): reads_list(int(c)) for c in clusters}
-        orders = _candidate_orders_columnar(tf, backward_writes)
+        # Decode just this chunk; col.operation caches, so the identity
+        # checks inside check_viable hold.
+        op = col.operation
+        dictating: Dict[Any, Any] = {}
+        dictated: Dict[Any, Tuple] = {}
+        index_of: Dict[Any, int] = {}
+        for c in np.concatenate((f_cl, b_cl)).tolist():
+            w = int(ct.write[c])
+            write = op(w)
+            index_of[write] = w
+            reads = rsorted[int(roff[c]) : int(roff[c + 1])].tolist()
+            dictated[write] = tuple(map(op, reads))
+            for r in reads:
+                dictating[op(r)] = write
+                index_of[op(r)] = r
+        orders = fzf.candidate_write_orders(
+            [op(int(w)) for w in ct.write[f_cl]], [op(int(w)) for w in ct.write[b_cl]]
+        )
         tested = 0
         if chain_mask[i]:
             # The chain order (orders[0]) already failed the batch check.
@@ -569,9 +525,9 @@ def fzf_verdict_np(col):
         chunk_witness: Optional[List[int]] = None
         for order in orders:
             tested += 1
-            extended = _check_viable_columnar(col, order, chunk_ops, reads_of_write)
+            extended = fzf.check_viable(order, list(index_of), dictating, dictated)
             if extended is not None:
-                chunk_witness = [int(op) for op in extended]
+                chunk_witness = [index_of[o] for o in extended]
                 break
         if chunk_witness is None:
             stats["orders_tested"] = base + tested
@@ -661,7 +617,7 @@ def _chain_order_check(col, ct, ch, chain_mask):
     For a chunk with forward clusters ``w_0..w_{m-1}`` (chain order) and no
     backward clusters, the first candidate order FZF tests is the chain
     itself, and the reverse-greedy viability check of
-    :func:`~repro.core.columnar._check_viable_columnar` has a closed form.
+    :func:`~repro.algorithms.fzf.check_viable` has a closed form.
     With ``sufmin[i] = min(finish[w_i..w_{m-1}])``:
 
     * a write ``w_j`` survives iff no later write's zone lets an operation
@@ -764,9 +720,9 @@ _FZF = "FZF"
 def gk_result_np(col) -> VerificationResult:
     """GK verdict over an encoding, vectorized end to end (non-empty input).
 
-    Twin of :func:`repro.algorithms.gk._verify_1atomic_columnar`, with the
-    NO-reason clusters decoded from the numpy table instead of the Python
-    one (no O(n) object work on the NO path).
+    Twin of :func:`repro.algorithms.gk.verify_1atomic`, with the NO-reason
+    clusters decoded from the numpy table (no O(n) object work on the NO
+    path).
     """
     from .zones import Zone
 
@@ -1130,7 +1086,7 @@ def verify_columnar(
     descriptions, and — unless ``decode_witness=False`` — YES witnesses).
 
     Falls back to the materialised object path whenever exactness demands it:
-    non-numpy kernels, timestamp ties during normalisation, and the
+    ``kernel="object"``, timestamp ties during normalisation, and the
     LBT/exact algorithms (``k >= 3``).  Those paths always decode their
     witness.
     """
@@ -1161,7 +1117,7 @@ def columnar_verdict(
     """
     if k < 1:
         raise VerificationError(f"k must be a positive integer, got {k!r}")
-    resolved = resolve_kernel(kernel, None)
+    resolved = resolve_kernel(kernel)
 
     def materialised(history_preprocess: bool) -> ColumnarVerdict:
         from .api import verify

@@ -20,9 +20,9 @@ Pipeline (each stage pluggable):
    registers into shard tasks.
 3. **Execution** — an :mod:`executor <repro.engine.executors>` runs the shard
    tasks serially, on a thread pool, or on a process pool.  In-process
-   history shards verify with the unified :func:`repro.core.api.verify`
-   entry point (the reference object path); file shards, and history shards
-   crossing the process boundary, travel as columns
+   history shards verify each :class:`~repro.core.history.History` with the
+   unified :func:`repro.core.api.verify` entry point; file shards, and
+   history shards crossing the process boundary, travel as columns
    (:mod:`repro.engine.codec`) and are sorted and verified from those
    columns by :func:`repro.core.vector.columnar_verdict`.
 4. **Aggregation** — shard results stream back in completion order (column
@@ -93,7 +93,6 @@ class ShardTask:
     algorithm: str
     preprocess: bool
     max_exact_ops: int
-    columnar: Optional[bool] = None
     kernel: Optional[str] = None
     tier: Optional[TierPolicy] = None
 
@@ -112,7 +111,6 @@ class ShardTask:
             algorithm=self.algorithm,
             preprocess=self.preprocess,
             max_exact_ops=self.max_exact_ops,
-            columnar=self.columnar,
             kernel=self.kernel,
             tier=self.tier,
         )
@@ -136,7 +134,6 @@ class EncodedShardTask:
     algorithm: str
     preprocess: bool
     max_exact_ops: int
-    columnar: Optional[bool] = None
     kernel: Optional[str] = None
     tier: Optional[TierPolicy] = None
 
@@ -165,16 +162,8 @@ class RcolShardTask:
     algorithm: str
     preprocess: bool
     max_exact_ops: int
-    columnar: Optional[bool] = None
     kernel: Optional[str] = None
     tier: Optional[TierPolicy] = None
-
-
-def _effective_kernel(task) -> Optional[str]:
-    """The kernel request a column-fed shard forwards, folding in the legacy flag."""
-    if task.kernel is not None or task.columnar is None:
-        return task.kernel
-    return "columnar" if task.columnar else "object"
 
 
 @dataclass(frozen=True)
@@ -215,12 +204,11 @@ def _column_verdicts(task, registers, decisions: List[TierDecision]) -> Iterator
 
     The one worker loop of the column-fed shards (encoded and ``.rcol``);
     tier routes are appended to ``decisions``.  The exact fallbacks (timestamp
-    ties, LBT/exact, ``k >= 3``, non-numpy kernels) live inside
+    ties, LBT/exact, ``k >= 3``, ``kernel="object"``) live inside
     :func:`repro.core.vector.columnar_verdict`.
     """
     from ..core import vector
 
-    kernel = _effective_kernel(task)
     tier = task.tier if task.tier is not None and task.tier.active else None
     for key, col in registers:
         if tier is not None:
@@ -231,7 +219,7 @@ def _column_verdicts(task, registers, decisions: List[TierDecision]) -> Iterator
                 algorithm=task.algorithm,
                 preprocess=task.preprocess,
                 max_exact_ops=task.max_exact_ops,
-                kernel=kernel,
+                kernel=task.kernel,
             )
             decisions.append(decision)
         else:
@@ -241,7 +229,7 @@ def _column_verdicts(task, registers, decisions: List[TierDecision]) -> Iterator
                 algorithm=task.algorithm,
                 preprocess=task.preprocess,
                 max_exact_ops=task.max_exact_ops,
-                kernel=kernel,
+                kernel=task.kernel,
             )
         yield key, col, verdict
 
@@ -312,7 +300,6 @@ def _object_results(task: ShardTask, decisions: List[TierDecision]) -> Iterator[
                 algorithm=task.algorithm,
                 preprocess=task.preprocess,
                 max_exact_ops=task.max_exact_ops,
-                columnar=task.columnar,
                 kernel=task.kernel,
             )
             decisions.append(decision)
@@ -323,7 +310,6 @@ def _object_results(task: ShardTask, decisions: List[TierDecision]) -> Iterator[
                 algorithm=task.algorithm,
                 preprocess=task.preprocess,
                 max_exact_ops=task.max_exact_ops,
-                columnar=task.columnar,
                 kernel=task.kernel,
             )
         yield key, result
@@ -348,15 +334,10 @@ class Engine:
         order smooth out imbalance that the partitioner could not predict.
     algorithm, preprocess, max_exact_ops:
         Forwarded to :func:`repro.core.api.verify` for every register.
-    columnar:
-        Forwarded to :func:`repro.core.api.verify`: force (``True``), forbid
-        (``False``) or defer to the process default (``None``) on the
-        columnar kernels.  Carried inside the shard task so worker processes
-        honour it too.
     kernel:
-        Kernel tier (``"object"``, ``"columnar"``, ``"numpy"``) forwarded to
-        :func:`repro.core.api.verify`; ``None`` picks the fastest enabled
-        tier.  Carried inside the shard task like ``columnar``.
+        ``"object"`` or ``"numpy"`` (the default, ``None``), forwarded to
+        :func:`repro.core.api.verify`.  Carried inside the shard task so
+        worker processes honour it too.
     tier:
         Adaptive tier policy (:mod:`repro.engine.tiering`): ``None`` or
         ``"exact"`` (default, every register pays the authoritative
@@ -394,7 +375,6 @@ class Engine:
         algorithm: str = "auto",
         preprocess: bool = True,
         max_exact_ops: int = DEFAULT_MAX_EXACT_OPS,
-        columnar: Optional[bool] = None,
         kernel: Optional[str] = None,
         tier: "Union[None, str, TierPolicy]" = None,
         fail_fast: bool = False,
@@ -414,7 +394,6 @@ class Engine:
         self.algorithm = algorithm
         self.preprocess = preprocess
         self.max_exact_ops = max_exact_ops
-        self.columnar = columnar
         self.kernel = kernel
         self.tier = get_tier_policy(tier)  # raises on unknown names
         self.tier_name = self.tier.name if self.tier is not None else "exact"
@@ -460,7 +439,6 @@ class Engine:
                 algorithm=self.algorithm,
                 preprocess=self.preprocess,
                 max_exact_ops=self.max_exact_ops,
-                columnar=self.columnar,
                 kernel=self.kernel,
                 tier=self.tier,
             )

@@ -160,7 +160,7 @@ class TraceFeatures:
         from ..core import vector  # local: numpy-side column views
 
         n = col.n
-        if not vector.NUMPY_AVAILABLE or n == 0:
+        if n == 0:
             return cls.from_history(col.to_history())
         np = vector.np
         c = vector._columns(col)
@@ -320,13 +320,10 @@ class TierStats:
 #: ``tiering`` experiment kind refit them to the current machine.
 _DEFAULT_COEFFS: Dict[str, Tuple[float, float]] = {
     "screen:object": (2.0e-5, 9.0e-7),
-    "screen:columnar": (3.0e-5, 4.0e-7),
     "screen:numpy": (1.2e-4, 6.0e-8),
     "confirm:object": (3.0e-5, 2.2e-6),
-    "confirm:columnar": (4.0e-5, 9.0e-7),
     "confirm:numpy": (1.5e-4, 1.0e-7),
     "exact:object": (3.0e-5, 2.5e-6),
-    "exact:columnar": (4.0e-5, 1.0e-6),
     "exact:numpy": (1.5e-4, 1.2e-7),
 }
 
@@ -400,27 +397,20 @@ class CostModel:
 
     # -- knob selection ------------------------------------------------
     def choose_kernel(self, num_ops: int) -> str:
-        """Cheapest kernel tier for a register of ``num_ops`` operations."""
-        from ..core import vector  # local import: numpy availability probe
-
-        candidates = ["object", "columnar"]
-        if vector.NUMPY_AVAILABLE:
-            candidates.append("numpy")
-        return min(candidates, key=lambda k: self.predict("screen", k, num_ops))
+        """Cheaper kernel for a register of ``num_ops`` operations."""
+        return min(("object", "numpy"), key=lambda k: self.predict("screen", k, num_ops))
 
     def choose_executor(self, total_ops: int, num_registers: int) -> str:
         """Executor for a batch run: stay serial until fan-out pays.
 
-        Process pools cost milliseconds of spawn/IPC per shard; threads are
-        cheaper but still lose on small traces.  The thresholds compare the
-        predicted serial screen cost against those fixed overheads.
+        Process pools cost milliseconds of spawn/IPC per shard; the threshold
+        compares the predicted serial screen cost against that fixed
+        overhead.  Threads are never picked: the verifiers hold the GIL.
         """
         kernel = self.choose_kernel(max(1, total_ops // max(1, num_registers)))
         serial_cost = self.predict("screen", kernel, total_ops)
         if num_registers >= 4 and serial_cost > 0.25:
             return "process"
-        if num_registers >= 2 and serial_cost > 0.020:
-            return "thread"
         return "serial"
 
     def choose_window(self, op_rate: float) -> int:
@@ -471,7 +461,7 @@ class CostModel:
                 n = min(probe_ops, max(4, int(len(ops) * frac)))
                 slice_h = History(list(ops[:n]), key=history.key)
                 for rung, probe_k in rungs:
-                    for kernel in ("object", "columnar", "numpy"):
+                    for kernel in ("object", "numpy"):
                         stage = f"{rung}:{kernel}"
                         try:
                             t0 = clock()
@@ -544,7 +534,6 @@ class TierPolicy:
         algorithm: str = "auto",
         preprocess: bool = True,
         max_exact_ops: int = 40,
-        columnar: Optional[bool] = None,
         kernel: Optional[str] = None,
     ) -> Tuple[VerificationResult, TierDecision]:
         """Verify one register through the ladder.
@@ -563,16 +552,15 @@ class TierPolicy:
                 algorithm=algorithm,
                 preprocess=preprocess,
                 max_exact_ops=max_exact_ops,
-                columnar=columnar,
                 kernel=kernel,
             )
 
         name = key or (history.key or "")
         if not self.screen or k <= 1 or history.is_empty:
             return exact_run(), TierDecision(name, "exact", escalated=False)
-        if kernel is None and columnar is None and self.feature_gated:
-            # Cost-model kernel pick: object beats the vectorized tiers on
-            # tiny registers (fixed numpy overhead), numpy wins at scale.
+        if kernel is None and self.feature_gated:
+            # Cost-model kernel pick: object beats numpy on tiny registers
+            # (fixed numpy overhead), numpy wins at scale.
             kernel = self.cost_model.choose_kernel(len(history.operations))
 
         triggers: List[str] = []
@@ -594,7 +582,6 @@ class TierPolicy:
                     algorithm="auto",
                     preprocess=preprocess,
                     max_exact_ops=max_exact_ops,
-                    columnar=columnar,
                     kernel=kernel,
                 )
             except VerificationError:

@@ -10,8 +10,8 @@ Markdown emitters.  Two experiment kinds cover the paper's evaluation axes:
   (read/write ratio, key-popularity skew, quorum sizes): how many registers
   are 1-atomic, 2-atomic, worse;
 * ``"runtime"`` — wall-clock scaling of the verification configurations
-  (GK / LBT / FZF, batch vs. online vs. columnar, executors) over growing
-  traces.
+  (GK / LBT / FZF, batch vs. online, object vs. numpy kernel, executors)
+  over growing traces.
 
 Canned specs live in the repository's ``experiments/`` directory; run them
 with ``repro experiment run experiments/staleness_spectrum.toml``.

@@ -21,7 +21,7 @@ Two measurement kinds:
   statistics: how many registers are 1-atomic / 2-atomic / worse, how stale
   the reads were;
 * ``runtime`` — wall-clock verification time per engine configuration
-  (batch / streaming, algorithm choice, columnar on/off, executors).
+  (batch / streaming, algorithm choice, object/numpy kernel, executors).
 
 A third measurement kind quantifies the paper's global-clock assumption:
 
@@ -217,8 +217,7 @@ def _measure_runtime(trace: MultiHistory, trial: TrialSpec) -> Dict[str, float]:
     executor = str(engine_config.pop("executor", "serial"))
     jobs = engine_config.pop("jobs", None)
     jobs = int(jobs) if jobs is not None else None
-    columnar = engine_config.pop("columnar", None)
-    columnar = bool(columnar) if columnar is not None else None
+    kernel = engine_config.pop("kernel", None)
     window = int(engine_config.pop("window", 256))
     stream_mode = str(engine_config.pop("stream_mode", "rolling"))
     if engine_config:
@@ -231,7 +230,7 @@ def _measure_runtime(trace: MultiHistory, trial: TrialSpec) -> Dict[str, float]:
             executor=executor,
             jobs=jobs,
             algorithm=algorithm,
-            columnar=columnar,
+            kernel=kernel,
         )
         t0 = time.perf_counter()
         report = engine.verify_trace(trace, k)

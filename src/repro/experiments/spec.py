@@ -18,7 +18,7 @@ A spec file (TOML or JSON) describes one experiment::
     zipf_theta = [0.0, 0.99]
 
     [[engines]]                    # runtime kind only: timed configurations
-    name = "fzf-columnar"
+    name = "fzf-numpy"
     algorithm = "fzf"
     k = 2
 

@@ -440,7 +440,7 @@ def load_columnar(path: Union[str, Path], fmt: Optional[str] = None) -> Dict:
     (:func:`operations_range`), and each register is sorted into a
     :class:`~repro.core.columnar.ColumnarHistory`.  Returns a mapping from
     register key to encoding; call ``.to_history()`` on an entry (or verify
-    through the columnar kernels) as needed — the materialised history
+    through :func:`repro.core.vector.verify_columnar`) as needed — the materialised history
     arrives with its encoding pre-cached.  Errors are those of
     :func:`load_trace`.
     """

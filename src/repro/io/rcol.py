@@ -39,9 +39,6 @@ Readers/writers:
   memory);
 * :func:`iter_rcol` / :func:`dump_rcol` — the registry-facing reader/writer
   pair, interchangeable with every other registered format.
-
-Requires numpy; importing this module without it raises on first use, and
-the format registers itself with an explanatory description either way.
 """
 
 from __future__ import annotations
@@ -52,10 +49,7 @@ import struct
 from pathlib import Path
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-try:  # pragma: no cover - exercised via both branches in CI matrices
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
+import numpy as np
 
 from ..core.builder import TraceBuilder
 from ..core.errors import MalformedOperationError, TraceFormatError
@@ -90,13 +84,6 @@ COLUMN_DTYPES = {
 }
 
 _KEY_SCALARS = (str, int, float, bool, type(None))
-
-
-def _require_numpy() -> None:
-    if np is None:
-        raise TraceFormatError(
-            "the 'rcol' trace format requires numpy, which is not installed"
-        )
 
 
 def _fresh_op_ids(n: int):
@@ -165,7 +152,6 @@ class RcolWriter:
     """
 
     def __init__(self, path: Union[str, Path]):
-        _require_numpy()
         self._path = Path(path)
         self._fh = open(path, "wb")
         self._fh.write(MAGIC)
@@ -347,7 +333,6 @@ class RcolFile:
     """
 
     def __init__(self, path: Union[str, Path]):
-        _require_numpy()
         self.path = Path(path)
         size = self.path.stat().st_size
         tail_len = 8 + len(END_MAGIC)
@@ -547,7 +532,6 @@ def iter_rcol(path: Union[str, Path]) -> Iterator[Operation]:
     The engine's verification path never calls this — it goes through
     :meth:`RcolFile.load_columnar` instead.
     """
-    _require_numpy()
     rf = RcolFile(path)
     for key in rf.keys():
         col = rf.load_columnar(key)
@@ -565,7 +549,6 @@ def dump_rcol(
     writers); each register becomes a single chunk of canonical-order
     columns, so loading it back is a zero-copy memory map.
     """
-    _require_numpy()
     from ..core.columnar import columnar_of
 
     if isinstance(trace, History):

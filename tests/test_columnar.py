@@ -1,10 +1,11 @@
-"""Columnar fast path: randomized parity with the object kernels.
+"""The columnar encoding and the numpy kernels over it: parity with the
+object reference.
 
-The columnar kernels are only allowed to exist because they are observably
+The numpy kernels are only allowed to exist because they are observably
 identical to the object path: same verdicts, same NO reasons, same stats,
 witnesses that validate.  These tests fuzz that equivalence across GK, FZF,
-LBT and all three executors, and cover the encoding itself (construction from
-rows vs from histories, lazy decoding, the shard codec round-trip) plus the
+LBT and the executors, and cover the encoding itself (construction from rows
+vs from histories, lazy decoding, the shard codec round-trip) plus the
 derived-structure cache the fast path leans on.
 """
 
@@ -50,12 +51,9 @@ class TestVerdictParity:
     @pytest.mark.parametrize("k", [1, 2])
     def test_randomized_parity_all_algorithms(self, k):
         for history in fuzz_histories():
-            col_res = verify(history, k, columnar=True)
-            obj_res = verify(history, k, columnar=False)
-            assert bool(col_res) == bool(obj_res), history.key
-            assert col_res.reason == obj_res.reason, history.key
-            assert col_res.stats == obj_res.stats, history.key
-            assert col_res.algorithm == obj_res.algorithm, history.key
+            np_res = verify(history, k, kernel="numpy")
+            obj_res = verify(history, k, kernel="object")
+            assert result_fields(np_res) == result_fields(obj_res), history.key
 
     def test_witnesses_validate_on_yes(self):
         for history in fuzz_histories():
@@ -63,20 +61,20 @@ class TestVerdictParity:
                 continue
             normalized = normalize(history)
             for k in (1, 2):
-                res = verify(normalized, k, preprocess=False, columnar=True)
+                res = verify(normalized, k, preprocess=False, kernel="numpy")
                 assert bool(res) == bool(
-                    verify(normalized, k, preprocess=False, columnar=False)
+                    verify(normalized, k, preprocess=False, kernel="object")
                 )
                 if res and res.witness is not None and len(res.witness):
                     assert normalized.is_k_atomic_total_order(res.witness, k)
 
     def test_fzf_matches_lbt_through_columnar(self):
-        # LBT has no columnar twin, so it is an independent referee for FZF.
+        # LBT shares no code with FZF, so it is an independent referee.
         for history in fuzz_histories():
             if history.is_empty or find_anomalies(history):
                 continue
             normalized = normalize(history)
-            fzf = verify(normalized, 2, algorithm="fzf", preprocess=False, columnar=True)
+            fzf = verify(normalized, 2, algorithm="fzf", preprocess=False, kernel="numpy")
             lbt = verify(normalized, 2, algorithm="lbt", preprocess=False)
             assert bool(fzf) == bool(lbt), history.key
 
@@ -85,24 +83,22 @@ class TestVerdictParity:
         trace = synthetic_trace(
             random.Random(7), 6, 150, staleness_probability=0.2, max_staleness=2
         )
-        col = verify_trace(trace, 2, executor=executor, jobs=2, columnar=True)
-        obj = verify_trace(trace, 2, executor=executor, jobs=2, columnar=False)
-        assert {k: bool(r) for k, r in col.items()} == {
-            k: bool(r) for k, r in obj.items()
-        }
-        assert {k: r.reason for k, r in col.items()} == {
-            k: r.reason for k, r in obj.items()
+        fast = verify_trace(trace, 2, executor=executor, jobs=2, kernel="numpy")
+        obj = verify_trace(trace, 2, executor=executor, jobs=2, kernel="object")
+        assert {k: result_fields(r) for k, r in fast.items()} == {
+            k: result_fields(r) for k, r in obj.items()
         }
 
-    @pytest.mark.skipif(not vector.NUMPY_AVAILABLE, reason="numpy not installed")
     @pytest.mark.parametrize("k", [1, 2])
     def test_three_way_kernel_parity(self, k):
-        """object, columnar and numpy tiers agree on every observable."""
+        """The object kernel, the numpy kernel and the column-level entry
+        point (which never builds the history) agree on every observable."""
         for history in fuzz_histories():
             results = {
                 kernel: verify(history, k, kernel=kernel)
                 for kernel in vector.KERNELS
             }
+            results["columns"] = vector.verify_columnar(columnar_of(history), k)
             ref = results["object"]
             for kernel, res in results.items():
                 assert bool(res) == bool(ref), (history.key, kernel)
@@ -115,7 +111,6 @@ class TestVerdictParity:
                             res.witness, k
                         ), (history.key, kernel)
 
-    @pytest.mark.skipif(not vector.NUMPY_AVAILABLE, reason="numpy not installed")
     def test_numpy_tier_orders_tested_matches(self):
         """The vectorized FZF screens the same candidate orders (stats parity)."""
         for seed in range(20):
@@ -124,10 +119,9 @@ class TestVerdictParity:
                 max_staleness=3, key=f"ot{seed}",
             )
             np_res = verify(history, 2, algorithm="fzf", kernel="numpy")
-            col_res = verify(history, 2, algorithm="fzf", kernel="columnar")
-            assert np_res.stats == col_res.stats, seed
+            obj_res = verify(history, 2, algorithm="fzf", kernel="object")
+            assert np_res.stats == obj_res.stats, seed
 
-    @pytest.mark.skipif(not vector.NUMPY_AVAILABLE, reason="numpy not installed")
     @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
     def test_numpy_kernel_through_engine(self, executor):
         trace = synthetic_trace(
@@ -138,18 +132,6 @@ class TestVerdictParity:
         assert {k: (bool(r), r.reason) for k, r in np_rep.items()} == {
             k: (bool(r), r.reason) for k, r in obj_rep.items()
         }
-
-    def test_default_toggle_controls_path(self):
-        history = practical_history(random.Random(0), 40, key="t")
-        previous = columnar.set_default_enabled(False)
-        try:
-            assert columnar.default_enabled() is False
-            res = verify(history, 2)
-            # Object path does not touch the columnar cache.
-            assert "columnar" not in normalize(history)._derived
-        finally:
-            columnar.set_default_enabled(previous)
-        assert bool(res) == bool(verify(history, 2, columnar=True))
 
 
 class TestEncoding:
@@ -217,7 +199,7 @@ class TestEncoding:
         for history in fuzz_histories():
             if history.is_empty:
                 continue
-            assert columnar_of(history).has_anomalies() == has_anomalies(history)
+            assert vector.has_anomalies(columnar_of(history)) == has_anomalies(history)
 
     def test_columns_roundtrip(self):
         history = normalize(
@@ -364,30 +346,18 @@ class TestDerivedCache:
 
 
 class TestCLI:
-    def test_no_columnar_flag_matches_default(self, tmp_path):
+    def test_retired_kernel_flags_exit_2(self, tmp_path):
         import io as _io
 
         from repro.cli import main
-        from repro.core.history import MultiHistory
         from repro.io.formats import dump_jsonl
 
-        ops = []
-        for seed in range(3):
-            ops.extend(
-                practical_history(
-                    random.Random(seed), 40, staleness_probability=0.3,
-                    max_staleness=2, key=f"reg-{seed}",
-                ).operations
-            )
         path = tmp_path / "trace.jsonl"
-        dump_jsonl(MultiHistory(ops), path)
-        out_default, out_object = _io.StringIO(), _io.StringIO()
-        status_default = main(["verify", str(path), "--k", "2"], out=out_default)
-        status_object = main(
-            ["verify", str(path), "--k", "2", "--no-columnar"], out=out_object
-        )
-        assert status_default == status_object == 0
-        assert out_default.getvalue() == out_object.getvalue()
+        dump_jsonl(practical_history(random.Random(0), 40, key="reg"), path)
+        for flags in (["--no-columnar"], ["--kernel", "columnar"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["verify", str(path), "--k", "2", *flags], out=_io.StringIO())
+            assert excinfo.value.code == 2, flags
 
     def test_kernel_flag_matches_across_tiers(self, tmp_path):
         import io as _io
@@ -406,11 +376,8 @@ class TestCLI:
             )
         path = tmp_path / "trace.jsonl"
         dump_jsonl(MultiHistory(ops), path)
-        kernels = ["object", "columnar"]
-        if vector.NUMPY_AVAILABLE:
-            kernels.append("numpy")
         outputs = {}
-        for kernel in kernels:
+        for kernel in vector.KERNELS:
             out = _io.StringIO()
             assert main(
                 ["verify", str(path), "--k", "2", "--kernel", kernel], out=out

@@ -4,8 +4,8 @@ Random histories — uniform-random interval soups and the structured
 worst-case shapes from :mod:`repro.workloads.adversarial` — are pushed
 through every redundant implementation the library carries:
 
-* GK (k=1) and LBT / LBT-reference / FZF (k=2), through every kernel tier
-  (object, columnar and — when numpy is importable — the vectorized tier),
+* GK (k=1) and LBT / LBT-reference / FZF (k=2), through both kernels
+  (the object reference and the numpy fast path),
 * the incremental (rolling) checkers,
 * the adaptive tier ladder (``screen`` and ``auto`` policies, whose cheap
   screens are sound only by k-monotonicity),
@@ -60,11 +60,8 @@ FUZZ_ITERS = int(os.environ.get("REPRO_FUZZ_ITERS", "25"))
 #: Every k=2 decision procedure is differential-tested against the oracle.
 TWO_AV_ALGORITHMS = ("lbt", "lbt-reference", "fzf")
 
-#: Every kernel tier runs through the same differential check; the numpy
-#: tier joins automatically when numpy is importable.
-KERNELS = ("object", "columnar") + (
-    ("numpy",) if vector.NUMPY_AVAILABLE else ()
-)
+#: Both kernels run through the same differential check.
+KERNELS = vector.KERNELS
 
 
 # ----------------------------------------------------------------------
@@ -278,7 +275,6 @@ def test_corpus_replays_agree():
             )
 
 
-@pytest.mark.skipif(not vector.NUMPY_AVAILABLE, reason="numpy not installed")
 def test_rcol_roundtrip_fuzz_parity(tmp_path):
     """.rcol round-trips preserve every verdict observable, YES and NO alike."""
     import re

@@ -295,7 +295,6 @@ def test_checkpoint_save_durable_false_skips_fsync(tmp_path, monkeypatch):
 
 
 def test_rcol_writer_fsyncs_footer(tmp_path, monkeypatch):
-    np = pytest.importorskip("numpy")
     import repro.io.rcol as rcol_mod
     from repro.core.history import History
     from repro.core.operation import read, write

@@ -121,12 +121,12 @@ def sample_histories(rng: random.Random):
 def verdicts_all_paths(history: History, k: int):
     """The verdict of every redundant verification path; asserts they agree.
 
-    Returns the (agreed) boolean verdict after checking object vs columnar
+    Returns the (agreed) boolean verdict after checking object vs numpy
     kernels and batch vs online checkers against each other.
     """
-    batch_obj = bool(verify(history, k, columnar=False))
-    batch_col = bool(verify(history, k, columnar=True))
-    assert batch_obj == batch_col, f"object/columnar kernels disagree at k={k}"
+    batch_obj = bool(verify(history, k, kernel="object"))
+    batch_np = bool(verify(history, k, kernel="numpy"))
+    assert batch_obj == batch_np, f"object/numpy kernels disagree at k={k}"
 
     checker = checker_for(k)
     for op in sorted(history.operations, key=lambda o: (o.finish, o.op_id)):
@@ -288,8 +288,8 @@ def test_register_permutation_permutes_verdicts(k):
         )
 
 
-@pytest.mark.parametrize("columnar", [False, True], ids=["object", "columnar"])
-def test_register_permutation_across_kernels(columnar):
+@pytest.mark.parametrize("kernel", ["object", "numpy"])
+def test_register_permutation_across_kernels(kernel):
     """Permutation invariance holds on both kernel paths independently."""
     rng = random.Random(TEST_SEED + 4)
     trace = synthetic_trace(rng, 4, 20, staleness_probability=0.1, max_staleness=2)
@@ -298,7 +298,7 @@ def test_register_permutation_across_kernels(columnar):
     builder = TraceBuilder(
         replace(op, key=rotated[key]) for key in keys for op in trace[key].operations
     )
-    original = verify_trace(trace, 2, columnar=columnar)
-    permuted = verify_trace(builder.build(), 2, columnar=columnar)
+    original = verify_trace(trace, 2, kernel=kernel)
+    permuted = verify_trace(builder.build(), 2, kernel=kernel)
     for key in keys:
         assert bool(original[key]) == bool(permuted[rotated[key]])

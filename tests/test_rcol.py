@@ -13,26 +13,24 @@ from __future__ import annotations
 import json
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.errors import MalformedOperationError, TraceFormatError
 from repro.core.history import History, MultiHistory
 from repro.core.operation import read, write
 from repro.core.preprocess import normalize
+from repro.core.vector import verify_columnar
 from repro.engine import Engine
 from repro.io.registry import FORMATS, detect_format, dump_trace, load_trace
-from repro.workloads.synthetic import practical_history, synthetic_trace
-
-np = pytest.importorskip("numpy", reason="the .rcol backend needs numpy")
-
-from repro.core.vector import verify_columnar  # noqa: E402
-from repro.io.rcol import (  # noqa: E402
+from repro.io.rcol import (
     LazyValueTable,
     RcolFile,
     RcolWriter,
     dump_rcol,
     iter_rcol,
 )
+from repro.workloads.synthetic import practical_history, synthetic_trace
 
 
 def sample_trace():

@@ -152,7 +152,7 @@ def test_gate_triggers_force_escalation_features():
 def test_cost_model_predict_is_linear_and_monotone():
     model = CostModel()
     for stage in ("screen", "confirm", "exact"):
-        for kernel in ("object", "columnar", "numpy"):
+        for kernel in ("object", "numpy"):
             small = model.predict(stage, kernel, 10)
             large = model.predict(stage, kernel, 10_000)
             assert 0 < small <= large
@@ -176,7 +176,7 @@ def test_cost_model_roundtrip_and_knob_picks():
     clone = CostModel.from_dict(model.to_dict())
     assert clone.coeffs == model.coeffs
     assert clone.confirm_interval == model.confirm_interval
-    assert model.choose_kernel(100) in ("object", "columnar", "numpy")
+    assert model.choose_kernel(100) in ("object", "numpy")
     assert model.choose_executor(100, 1) == "serial"
     assert model.choose_window(1000.0) >= 1
     sweep = model.choose_k_sweep(
@@ -197,7 +197,7 @@ def test_cost_model_calibrate_refits_from_real_probes(rng):
     model = CostModel.calibrate(histories)
     # Calibration must produce usable curves for the rungs it probed.
     assert model.predict("screen", "object", 100) > 0
-    assert model.choose_kernel(100) in ("object", "columnar", "numpy")
+    assert model.choose_kernel(100) in ("object", "numpy")
 
 
 def test_tier_stats_accounting():

@@ -1,69 +1,71 @@
-"""The numpy kernel tier: selection, internals and targeted edge cases.
+"""The numpy kernels: selection, internals and targeted edge cases.
 
 The randomized parity nets live in ``tests/test_columnar.py`` and the
 differential fuzz harness; this module pins the pieces those nets cannot
-see directly — the tier-selection precedence of :func:`resolve_kernel`
-(including the numpy-absent behaviour, simulated by monkeypatching), the
-segmented suffix-minimum (both of its internal strategies), construction
-errors in :func:`columnar_from_numpy`, and the closed-form chain-order
-check of the vectorized FZF, asserted against the columnar kernels on
-histories chosen so the chain path provably runs.
+see directly — :func:`resolve_kernel`, the segmented suffix-minimum (both of
+its internal strategies), construction errors in
+:func:`columnar_from_numpy`, the closed-form chain-order check of the
+vectorized FZF (asserted against the object kernel on histories chosen so
+the chain path provably runs), and the irregular-chunk fallback onto
+:func:`repro.algorithms.fzf.check_viable`.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
+from repro.algorithms import fzf
 from repro.core import columnar, vector
-from repro.core.api import verify
+from repro.core.api import verify, verify_trace
 from repro.core.errors import DuplicateValueError, VerificationError
+from repro.core.history import History
+from repro.core.operation import read, write
 from repro.core.preprocess import find_anomalies, normalize
+from repro.engine import Engine
+from repro.workloads.adversarial import (
+    concurrent_batch_history,
+    non_2atomic_batch_history,
+)
 from repro.workloads.synthetic import practical_history
-
-np = pytest.importorskip("numpy", reason="the vector tier needs numpy")
+from tests.conftest import result_fields
 
 
 class TestResolveKernel:
     def test_explicit_kernel_wins(self):
-        assert vector.resolve_kernel("object", True) == "object"
-        assert vector.resolve_kernel("COLUMNAR", None) == "columnar"
-        assert vector.resolve_kernel("numpy", False) == "numpy"
+        assert vector.KERNELS == ("object", "numpy")
+        assert vector.resolve_kernel("object") == "object"
+        assert vector.resolve_kernel("NUMPY") == "numpy"
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(VerificationError, match="unknown kernel"):
             vector.resolve_kernel("simd")
 
+    def test_columnar_kernel_rejected(self):
+        history = practical_history(random.Random(4), 30, key="c")
+        for call in (
+            lambda: vector.resolve_kernel("columnar"),
+            lambda: verify(history, 2, kernel="columnar"),
+            lambda: verify(history, 1, kernel="columnar"),
+            lambda: Engine(kernel="columnar").verify_trace(history, 2),
+        ):
+            with pytest.raises(VerificationError, match="available: object, numpy"):
+                call()
+
     def test_legacy_columnar_boolean(self):
-        assert vector.resolve_kernel(None, True) == "columnar"
-        assert vector.resolve_kernel(None, False) == "object"
+        # The retired columnar= switch is refused, not silently ignored.
+        history = practical_history(random.Random(5), 30, key="c")
+        with pytest.raises(TypeError):
+            verify(history, 2, columnar=True)
+        with pytest.raises(TypeError):
+            verify_trace(history, 2, columnar=False)
+        with pytest.raises(TypeError):
+            Engine(columnar=True)
 
     def test_auto_prefers_numpy_when_available(self):
         assert vector.resolve_kernel() == "numpy"
-
-    def test_numpy_default_toggle(self):
-        previous = vector.set_default_enabled(False)
-        try:
-            assert vector.resolve_kernel() == "columnar"
-        finally:
-            vector.set_default_enabled(previous)
-        assert vector.resolve_kernel() == "numpy"
-
-    def test_columnar_default_toggle_falls_back_to_object(self):
-        previous = columnar.set_default_enabled(False)
-        try:
-            assert vector.resolve_kernel() == "object"
-        finally:
-            columnar.set_default_enabled(previous)
-
-    def test_numpy_absent_simulation(self, monkeypatch):
-        monkeypatch.setattr(vector, "NUMPY_AVAILABLE", False)
-        # Auto-selection silently skips the tier...
-        assert vector.resolve_kernel() == "columnar"
-        # ...but an explicit request is an error, not a silent downgrade.
-        with pytest.raises(VerificationError, match="numpy is not importable"):
-            vector.resolve_kernel("numpy")
 
     def test_engine_auto_matches_explicit_numpy(self):
         history = practical_history(random.Random(3), 60, key="auto")
@@ -143,7 +145,7 @@ class TestColumnarFromNumpy:
         assert list(col.write_ord) == list(ref.write_ord)
         for k in (1, 2):
             got = vector.verify_columnar(col, k, preprocess=False)
-            want = verify(history, k, preprocess=False, kernel="columnar")
+            want = verify(history, k, preprocess=False, kernel="object")
             assert (bool(got), got.reason, got.stats) == (
                 bool(want), want.reason, want.stats
             )
@@ -182,17 +184,15 @@ class TestChainOrderCheck:
             hit += chain_chunks(columnar.columnar_of(history)).size
         assert hit > 0, "no pure-forward multi-write chains in the battery"
 
-    def test_chain_verdicts_match_columnar_kernels(self):
+    def test_chain_verdicts_match_object_kernel(self):
         exercised = 0
         for history in self.stale_histories():
             col = columnar.columnar_of(history)
             exercised += chain_chunks(col).size
             got = vector.fzf_result_np(col)
             want = verify(history, 2, algorithm="fzf", preprocess=False,
-                          kernel="columnar")
-            assert bool(got) == bool(want), history.key
-            assert got.reason == want.reason, history.key
-            assert got.stats == want.stats, history.key
+                          kernel="object")
+            assert result_fields(got) == result_fields(want), history.key
             if got and got.witness is not None:
                 assert history.is_k_atomic_total_order(got.witness, 2), history.key
         assert exercised > 0
@@ -210,9 +210,95 @@ class TestChainOrderCheck:
         assert chain_chunks(col).size > 0
         got = vector.fzf_result_np(col)
         want = verify(history, 2, algorithm="fzf", preprocess=False,
-                      kernel="columnar")
-        assert (bool(got), got.reason, got.stats) == (
-            bool(want), want.reason, want.stats
-        )
+                      kernel="object")
+        assert result_fields(got) == result_fields(want)
         if got and got.witness is not None:
             assert history.is_k_atomic_total_order(got.witness, 2)
+
+
+def chunk_history(rng, chain, backward, key):
+    """A forward chain of ``chain`` clusters with ``backward`` backward
+    clusters inside its interval: one chunk that only the fallback decides."""
+    ops = []
+    value = 0
+    for i in range(chain):
+        s = 10.0 * i + rng.uniform(0, 0.5)
+        ops.append(write(value, s, s + rng.uniform(0.5, 3.0), key=key))
+        rs = s + rng.uniform(12.0, 16.0)
+        ops.append(read(value, rs, rs + 1.0, key=key))
+        value += 1
+    high = 10.0 * (chain - 1) + 12.0
+    for _ in range(backward):
+        x = rng.uniform(2.0, high - 5.0)
+        ops.append(write(value, x, x + rng.uniform(3.0, 5.0), key=key))
+        ops.append(
+            read(value, x + rng.uniform(0.2, 1.0), x + rng.uniform(2.0, 2.9), key=key)
+        )
+        value += 1
+    return History(ops, key=key)
+
+
+def batch_history(rng, key):
+    """The differential fuzz's concurrent / non-2-atomic batch shapes."""
+    if rng.random() < 0.5:
+        base = concurrent_batch_history(rng.randint(1, 2), rng.randint(3, 4), key=key)
+    else:
+        base = non_2atomic_batch_history(rng.randint(1, 2), 3, key=key)
+    ops = [op for op in base.operations if rng.random() > 0.15]
+    return History(ops or list(base.operations), key=key)
+
+
+def chunk_shapes(col):
+    """``(forward, backward)`` cluster counts of every chunk."""
+    ch = vector.chunk_table(col)
+    nf = np.diff(np.concatenate((ch.chain_starts, [ch.fidx.size])))
+    nb = np.bincount(ch.b_chunk[ch.b_chunk >= 0], minlength=ch.num_chunks)
+    return {(int(f), int(b)) for f, b in zip(nf, nb)}
+
+
+class TestIrregularChunkFallback:
+    """Chunks the array ops cannot decide run fzf.check_viable itself."""
+
+    def histories(self):
+        cases = []
+        for seed in range(48):
+            rng = random.Random(seed)
+            chain, backward = 2 + seed % 2, 1 + (seed // 2) % 2
+            cases.append(chunk_history(rng, chain, backward, key=f"chunk{seed}"))
+            cases.append(batch_history(rng, key=f"batch{seed}"))
+        return [h for h in cases if not find_anomalies(h)]
+
+    def test_numpy_matches_object_through_check_viable(self, monkeypatch):
+        numpy_calls = []
+        spying = [False]
+        real = fzf.check_viable
+
+        def spy(order, chunk_ops, dictating, dictated):
+            if spying[0]:
+                numpy_calls.append(len(chunk_ops))
+            return real(order, chunk_ops, dictating, dictated)
+
+        monkeypatch.setattr(fzf, "check_viable", spy)
+        shapes, verdicts, reached = set(), set(), 0
+        for history in self.histories():
+            want = verify(history, 2, kernel="object")
+            del numpy_calls[:]
+            spying[0] = True
+            got = verify(history, 2, kernel="numpy")
+            spying[0] = False
+            assert result_fields(got) == result_fields(want), history.key
+            shapes |= chunk_shapes(columnar.columnar_of(normalize(history)))
+            verdicts.add(bool(got))
+            reached += bool(numpy_calls)
+        assert {(2, 1), (2, 2), (3, 1), (3, 2)} <= shapes
+        assert verdicts == {True, False}
+        assert reached >= 40, reached
+
+    def test_witness_positions_through_the_engine(self):
+        histories = self.histories()
+        trace = [op for h in histories for op in h.operations]
+        processes = Engine(executor="processes", jobs=2).verify_trace(trace, 2)
+        serial = Engine(kernel="object").verify_trace(trace, 2)
+        assert list(processes.results) == list(serial.results)
+        for key, expected in serial.results.items():
+            assert result_fields(processes.results[key]) == result_fields(expected), key
