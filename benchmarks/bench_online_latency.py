@@ -12,15 +12,20 @@ benchmark quantifies that trade on a 64-register synthetic trace:
   streaming engine (rolling and windowed modes): how long the operator waits
   between an operation arriving and its window's verdict block appearing.
 
-All final verdicts are cross-checked against the batch engine, so the
-benchmark doubles as a parity test.  Use ``--json PATH`` to record the
-numbers; the committed baseline lives in
+Every register's final result from the per-op, rolling and peek arms is
+cross-checked field for field (verdict, algorithm, reason, stats, and the
+witness's operation ids and times) against batch verification of that
+register with the incremental checker's algorithm, ``verify(history, k,
+algorithm="lbt", preprocess=True)`` at k = 2, so the benchmark doubles as a
+parity test.  The rolling and peek records carry ``finish_s``, the wall time
+from the last window's verdicts to the end-of-stream results.  Use ``--json
+PATH`` to record the numbers; the committed baseline lives in
 ``benchmarks/results/bench_online_latency.json`` so future PRs can track the
 trajectory.
 
 ``--check`` turns the run into a regression gate (the online counterpart of
-``bench_columnar.py --check``): verdict parity must hold (always asserted),
-and the price of online verdicts must stay bounded, each as a
+``bench_columnar.py --check``): field-for-field parity must hold (always
+asserted), and the price of online verdicts must stay bounded, each as a
 machine-independent *ratio* to the batch engine's total, so it is safe on
 noisy CI runners:
 
@@ -57,6 +62,7 @@ if __name__ == "__main__" and __package__ is None:
 
 from repro.algorithms.online import checker_for
 from repro.analysis.report import format_table
+from repro.core.api import verify
 from repro.core.windows import WindowPolicy
 from repro.engine import Engine, StreamingEngine
 from repro.workloads.synthetic import synthetic_trace
@@ -72,6 +78,29 @@ def completion_order(trace):
         (op for key in trace.keys() for op in trace[key].operations),
         key=lambda op: (op.finish, op.op_id),
     )
+
+
+def result_fields(result):
+    """Every field of a result, with the witness as (op_id, start, finish)."""
+    witness = None
+    if result.witness is not None:
+        witness = tuple((op.op_id, op.start, op.finish) for op in result.witness)
+    return (
+        result.is_k_atomic,
+        result.algorithm,
+        result.reason,
+        dict(result.stats),
+        witness,
+    )
+
+
+def check_parity(arm, finals, expected):
+    """Assert each register's final result equals its batch reference."""
+    assert finals.keys() == expected.keys(), f"{arm}: registers differ from the trace"
+    for key, want in expected.items():
+        assert result_fields(finals[key]) == want, (
+            f"{arm}: register {key!r} final differs from batch verification"
+        )
 
 
 def timed(fn, repeat):
@@ -110,14 +139,22 @@ def bench_per_op_feed(ops, k):
 
 
 def bench_streaming(ops, k, *, mode, window, check_per_window=True):
+    """One streaming run: (total s, finish s, per-window flush ms, report).
+
+    The finish wall runs from the last window's callback to the return, so
+    it covers the end-of-stream ``finish()`` of every register.
+    """
     engine = StreamingEngine(
         window=window, mode=mode, check_per_window=check_per_window
     )
-    elapsed, report = timed(
-        lambda: engine.verify_stream(ops, k), 1
+    last_window = []
+    t0 = time.perf_counter()
+    report = engine.verify_stream(
+        ops, k, on_window=lambda _: last_window.append(time.perf_counter())
     )
+    end = time.perf_counter()
     flush_ms = [w.stats.elapsed_s * 1e3 for w in report.timeline]
-    return elapsed, flush_ms, report
+    return end - t0, end - last_window[-1], flush_ms, report
 
 
 def run(num_registers=64, ops_per_register=300, k=2, window_size=256, repeat=3,
@@ -139,24 +176,26 @@ def run(num_registers=64, ops_per_register=300, k=2, window_size=256, repeat=3,
         file=out,
     )
 
-    batch_s, batch_report = timed(lambda: Engine().verify_trace(trace, k), repeat)
-    batch_verdicts = {key: bool(r) for key, r in batch_report.results.items()}
+    batch_s, _ = timed(lambda: Engine().verify_trace(trace, k), repeat)
+    algorithm = checker_for(k).algorithm  # the batch algorithm it must equal
+    expected = {
+        key: result_fields(verify(trace[key], k, algorithm=algorithm, preprocess=True))
+        for key in trace.keys()
+    }
 
     feed_costs_us, feed_total_s, feed_finals = bench_per_op_feed(ops, k)
-    assert {key: bool(r) for key, r in feed_finals.items()} == batch_verdicts, (
-        "incremental finals diverge from batch"
-    )
+    check_parity("per-op incremental feed", feed_finals, expected)
 
     window = WindowPolicy.count(window_size)
-    rolling_s, rolling_flush_ms, rolling_report = bench_streaming(
+    rolling_s, rolling_finish_s, rolling_flush_ms, rolling_report = bench_streaming(
         ops, k, mode="rolling", window=window
     )
-    assert {k_: bool(r) for k_, r in rolling_report.results.items()} == batch_verdicts
-    peek_s, peek_flush_ms, peek_report = bench_streaming(
+    check_parity("rolling streaming", rolling_report.results, expected)
+    peek_s, peek_finish_s, peek_flush_ms, peek_report = bench_streaming(
         ops, k, mode="rolling", window=window, check_per_window=False
     )
-    assert {k_: bool(r) for k_, r in peek_report.results.items()} == batch_verdicts
-    windowed_s, windowed_flush_ms, _ = bench_streaming(
+    check_parity("peek streaming", peek_report.results, expected)
+    windowed_s, _, windowed_flush_ms, _ = bench_streaming(
         ops, k, mode="windowed", window=window
     )
 
@@ -252,12 +291,14 @@ def run(num_registers=64, ops_per_register=300, k=2, window_size=256, repeat=3,
         },
         "rolling": {
             "total_s": round(rolling_s, 6),
+            "finish_s": round(rolling_finish_s, 6),
             "windows": len(rolling_flush_ms),
             "mean_flush_ms": round(statistics.fmean(rolling_flush_ms), 4),
             "max_flush_ms": round(max(rolling_flush_ms), 4),
         },
         "rolling_peek": {
             "total_s": round(peek_s, 6),
+            "finish_s": round(peek_finish_s, 6),
             "windows": len(peek_flush_ms),
             "mean_flush_ms": round(statistics.fmean(peek_flush_ms), 4),
             "max_flush_ms": round(max(peek_flush_ms), 4),
@@ -302,7 +343,7 @@ def run(num_registers=64, ops_per_register=300, k=2, window_size=256, repeat=3,
             status = 1
         else:
             print(
-                f"CHECK OK: online/batch parity held; per-op feed {slowdown:.2f}x "
+                f"CHECK OK: field-for-field parity held; per-op feed {slowdown:.2f}x "
                 f"and peek streaming {peek_slowdown:.2f}x batch "
                 f"(allowed {check_max_slowdown:.2f}x); rolling streaming "
                 f"{rolling_slowdown:.2f}x (allowed {ROLLING_MAX_SLOWDOWN:.2f}x)",

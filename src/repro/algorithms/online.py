@@ -26,7 +26,8 @@ their writes truly never arrived) and delegates to the batch algorithm over
 the complete buffered history, so the final verdict of an incremental checker
 is *identical* to its batch counterpart's by construction — a NO latched
 mid-stream included: operations keep being buffered after the latch, so the
-final reason is the whole stream's, not the latched prefix's.
+final reason is the whole stream's, not the latched prefix's.  (With no read
+pending, :class:`IncrementalLBTChecker` finishes from its batch-equal re-check.)
 
 Three cost controls keep the per-operation work low:
 
@@ -238,7 +239,7 @@ class RecheckChecker(Checker):
 
     @property
     def checks_run(self) -> int:
-        """Authoritative (batch) checks executed so far."""
+        """Authoritative checks executed so far (a finish may add one)."""
         return self._checks_run
 
     # ------------------------------------------------------------------
@@ -635,10 +636,10 @@ class IncrementalLBTChecker(RecheckChecker):
     algorithm="lbt", preprocess=True)`` field for field, at a cost that
     tracks the new operations rather than the prefix.  Ties, an anomaly, or
     any other delegate send checks down the batch path, as does
-    :meth:`finish`, which folds pending reads back in.  The admission state
-    is derived data: snapshots never carry it, and :meth:`restore` rebuilds
-    it from the buffer.  NO verdicts latch and are final; the finished
-    verdict equals batch LBT exactly.
+    :meth:`finish` with reads pending; with none it finishes from the growing
+    checker.  The admission state is derived data: snapshots never carry it,
+    and :meth:`restore` rebuilds it from the buffer.  NO verdicts latch and
+    are final; the finished verdict equals batch LBT exactly.
     """
 
     def __init__(
@@ -708,6 +709,21 @@ class IncrementalLBTChecker(RecheckChecker):
                 times.add(new)
                 self._lbt.replace(write.with_times(finish=new))
         self._lbt.add(op)
+
+    def finish(self) -> VerificationResult:
+        """End the stream; the verdict equals batch LBT's on the stream.
+
+        With nothing pending the resolved prefix is the stream, so the live
+        growing checker's verdict (cached, or one more check) is batch's.
+        """
+        if self._lbt is None or self._pending:
+            return super().finish()
+        result = self.check_now().result
+        self._finished = True
+        self._last_verdict = StreamVerdict(
+            result=result, ops_seen=self._ops_seen, final=True
+        )
+        return result
 
     def _verify_resolved(self) -> VerificationResult:
         if self._lbt is None:

@@ -34,9 +34,8 @@ positive scale, client/value rename) so tier decisions are reproducible
 properties of the trace shape, not of its encoding.
 
 A :class:`CostModel` — linear per-rung cost curves calibrated from observed
-trace stats — picks the kernel, executor, k-sweep range and window size for
-the ``auto`` policy.  The ``tiering`` experiment kind fits and validates the
-model against measured runtimes.
+trace stats — picks the kernel for the ``auto`` policy.  The ``tiering``
+experiment kind fits and validates the model against measured runtimes.
 """
 
 from __future__ import annotations
@@ -76,7 +75,7 @@ __all__ = [
 #: The registered tier policy names, in escalating order of adaptivity.
 #: ``exact`` is the pre-tiering behaviour (every register pays the
 #: authoritative checker), ``screen`` always tries the cheap ladder first,
-#: and ``auto`` adds feature gating plus cost-model knob selection.
+#: and ``auto`` adds feature gating plus cost-model kernel selection.
 TIER_NAMES: Tuple[str, ...] = ("exact", "screen", "auto")
 
 #: Names of the ladder rungs, cheapest first.
@@ -94,8 +93,8 @@ class TraceFeatures:
     ``anomaly_score``, ``max_value_lag`` and ``overlap_density`` survive
     time shifts, positive time scaling and client/value renames — so tier
     decisions are metamorphically stable.  ``op_rate`` and ``duration`` are
-    *not* invariant and feed only the cost model's knob picks (kernel,
-    executor, window size), which never change a verdict.
+    *not* invariant and gate nothing; like ``num_ops``, which sizes the cost
+    model's kernel pick, they never change a verdict.
     """
 
     num_ops: int
@@ -330,7 +329,7 @@ _DEFAULT_COEFFS: Dict[str, Tuple[float, float]] = {
 
 @dataclass
 class CostModel:
-    """Linear cost curves ``cost(rung, kernel, n) = a + b*n`` plus knob picks.
+    """Linear cost curves ``cost(rung, kernel, n) = a + b*n`` plus a kernel pick.
 
     The model is deliberately tiny — two coefficients per (rung, kernel)
     pair — because the verifiers it prices are near-linear in practice
@@ -348,8 +347,6 @@ class CostModel:
     #: Streaming: force an authoritative check every this many windows per
     #: register even with no trigger, bounding peek staleness.
     confirm_interval: int = 8
-    #: Per-window check budget (seconds) used by :meth:`choose_window`.
-    window_budget_s: float = 0.040
     #: Mean relative error per stage of the last :meth:`fit`/:meth:`calibrate`
     #: (diagnostic only — excluded from :meth:`to_dict`).
     fit_errors: Dict[str, float] = field(default_factory=dict)
@@ -395,44 +392,10 @@ class CostModel:
         self.fit_errors = dict(errors)
         return errors
 
-    # -- knob selection ------------------------------------------------
+    # -- kernel selection ----------------------------------------------
     def choose_kernel(self, num_ops: int) -> str:
         """Cheaper kernel for a register of ``num_ops`` operations."""
         return min(("object", "numpy"), key=lambda k: self.predict("screen", k, num_ops))
-
-    def choose_executor(self, total_ops: int, num_registers: int) -> str:
-        """Executor for a batch run: stay serial until fan-out pays.
-
-        Process pools cost milliseconds of spawn/IPC per shard; the threshold
-        compares the predicted serial screen cost against that fixed
-        overhead.  Threads are never picked: the verifiers hold the GIL.
-        """
-        kernel = self.choose_kernel(max(1, total_ops // max(1, num_registers)))
-        serial_cost = self.predict("screen", kernel, total_ops)
-        if num_registers >= 4 and serial_cost > 0.25:
-            return "process"
-        return "serial"
-
-    def choose_window(self, op_rate: float) -> int:
-        """Streaming window size whose check cost fits the window budget."""
-        kernel = self.choose_kernel(4096)
-        a, b = self.coeffs.get(
-            f"exact:{kernel}", self.coeffs["exact:object"]
-        )
-        if b <= 0:
-            return 4096
-        size = int((self.window_budget_s - a) / b)
-        return max(16, min(65536, size))
-
-    def choose_k_sweep(self, features: TraceFeatures, k: int) -> Tuple[int, ...]:
-        """The k values worth sweeping for a staleness spectrum of this trace.
-
-        The observed value lag bounds the interesting range from below:
-        every k <= max_value_lag is certainly NO, so the sweep starts where
-        the answer can change.
-        """
-        lo = min(k, features.max_value_lag + 1) if features.max_value_lag else 1
-        return tuple(range(max(1, lo), k + 1))
 
     # -- calibration ---------------------------------------------------
     @classmethod
@@ -478,7 +441,6 @@ class CostModel:
             "coeffs": {stage: list(ab) for stage, ab in sorted(self.coeffs.items())},
             "overlap_threshold": self.overlap_threshold,
             "confirm_interval": self.confirm_interval,
-            "window_budget_s": self.window_budget_s,
         }
 
     @classmethod
@@ -491,7 +453,6 @@ class CostModel:
             or dict(_DEFAULT_COEFFS),
             overlap_threshold=float(payload.get("overlap_threshold", 0.85)),
             confirm_interval=int(payload.get("confirm_interval", 8)),
-            window_budget_s=float(payload.get("window_budget_s", 0.040)),
         )
 
 
@@ -693,7 +654,7 @@ class TierPolicy:
 
 
 #: Preset policies by name.  ``screen`` trusts the ladder on every register;
-#: ``auto`` adds feature gating and cost-model knob selection.
+#: ``auto`` adds feature gating and cost-model kernel selection.
 _PRESETS: Dict[str, TierPolicy] = {
     "exact": TierPolicy(name="exact", screen=False, feature_gated=False),
     "screen": TierPolicy(name="screen", screen=True, feature_gated=False),

@@ -158,6 +158,30 @@ def dump_jsonl(trace: Union[History, MultiHistory, Iterable[Operation]], path: U
     return count
 
 
+_scan_once = json.JSONDecoder().scan_once
+#: What :func:`_parse_line` returns for a blank line (``None`` is JSON ``null``).
+_BLANK = object()
+
+
+def _parse_line(line: str) -> Any:
+    """Parse one JSON Lines line: its JSON value, or :data:`_BLANK`.
+
+    A line the C scanner consumes up to trailing whitespace is that value;
+    any other line is stripped and handed to :func:`json.loads`, which
+    raises the reader's :class:`json.JSONDecodeError`.
+    """
+    try:
+        record, stop = _scan_once(line, 0)
+        if stop == len(line) or line[stop:].isspace():
+            return record
+    except (StopIteration, json.JSONDecodeError):
+        pass
+    line = line.strip()
+    if not line:
+        return _BLANK
+    return json.loads(line)
+
+
 def iter_jsonl(path: Union[str, Path]) -> Iterator[Operation]:
     """Stream the operations of a JSON Lines trace one at a time."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -174,19 +198,16 @@ def iter_jsonl_handle(
     file object, a generator of lines — without the caller materialising
     anything.  ``source`` is used in error messages in place of a file name.
     """
-    loads = json.loads
     decode = _fast_operation_from_record
     for line_number, line in enumerate(fh, start=1):
-        line = line.strip()
-        if not line:
-            continue
         try:
-            record = loads(line)
+            record = _parse_line(line)
         except json.JSONDecodeError as exc:
             raise TraceFormatError(
                 f"{source}:{line_number}: invalid JSON: {exc}"
             ) from exc
-        yield decode(record)
+        if record is not _BLANK:
+            yield decode(record)
 
 
 def follow_jsonl(
@@ -348,7 +369,7 @@ class JsonlDecoder:
 
     def _decode(self, line: str):
         try:
-            record = json.loads(line)
+            record = _parse_line(line)
         except json.JSONDecodeError as exc:
             raise TraceFormatError(
                 f"{self.source}:{self._line_number}: invalid JSON: {exc}"
@@ -472,9 +493,6 @@ class DecodedRange(NamedTuple):
     lines: int
     registers: List[RowColumns]
     error: Optional[Tuple[int, str, Any]] = None
-
-
-_scan_once = json.JSONDecoder().scan_once
 
 
 def split_jsonl(path: Union[str, Path], parts: int) -> List[Tuple[int, int]]:

@@ -925,6 +925,7 @@ class WorkerPool:
         self._restarts += 1
         handle = self._spawn(worker_id, generation=dead_generation + 1)
         handle.ready.clear()  # hold feeds until the shards are rebuilt
+        old.ready.set()  # feeders parked on the dead handle move to this one
         try:
             entries = []
             for shard_id, state in self._shards.items():

@@ -1,5 +1,6 @@
 """Unit tests for trace serialisation (JSON Lines and CSV)."""
 
+import io
 import json
 
 import pytest
@@ -9,9 +10,11 @@ from repro.core.history import History, MultiHistory
 from repro.core.operation import OpType, read, write
 from repro.core.builder import TraceBuilder
 from repro.io.formats import (
+    JsonlDecoder,
     dump_csv,
     dump_jsonl,
     iter_jsonl,
+    iter_jsonl_handle,
     load_csv,
     load_jsonl,
     load_trace,
@@ -268,3 +271,131 @@ class TestLiveStreaming:
         path.write_text("")
         with pytest.raises(TraceFormatError):
             next(follow_jsonl(path, poll_interval_s=0.0))
+
+
+class TestLineRule:
+    """``JsonlDecoder`` and ``iter_jsonl_handle`` share one line rule.
+
+    The reference below is the rule both readers used to spell out with
+    :func:`json.loads` on every line: strip, skip blank lines, parse.  Both
+    readers must give its operations (every field), control frames and
+    errors (type, message and line number), wherever a transport cuts the
+    bytes.
+    """
+
+    OP = '{"op_type": "write", "key": "k", "value": "v%d", "start": %d, "finish": %d.5}'
+    GOOD = [
+        OP % (0, 0, 0),
+        "   " + OP % (1, 1, 1) + "   ",
+        "\t" + OP % (2, 2, 2),
+        OP % (3, 3, 3) + "\r",
+        "",
+        "   ",
+        '{"op_type": "read", "key": "k", "value": NaN, "start": 4, "finish": 5}',
+        '{"op_type": "read", "key": "k", "value": "é€", "start": 6, "finish": 7, "client": null}',
+        "\x0c" + OP % (8, 8, 8) + "\xa0",
+    ]
+    BAD = {
+        "bom": "\ufeff" + OP % (9, 9, 9),
+        "two values": "{}{}",
+        "null": "null",
+        "malformed": '{"op_type": "read", ',
+        "padded malformed": "   {bad",
+        "not a record": '{"op_type": "read"}',
+        "control frame": '{"type": "hello", "k": 2}',
+    }
+    FRAMES = [
+        '{"type": "hello", "k": 2}',
+        '  {"type": "end"}  ',
+        '{"type": "x", "op_type": "read", "key": "k", "value": "v0", "start": 1, "finish": 2}',
+    ]
+
+    @staticmethod
+    def reference(text, *, decoder, mixed=False):
+        """(items, error) under the old per-line ``json.loads`` rule."""
+        items = []
+        for number, line in enumerate(text.split("\n"), start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise TraceFormatError(f"s:{number}: invalid JSON: {exc}") from exc
+                if mixed and isinstance(record, dict) and "type" in record and "op_type" not in record:
+                    items.append(record)
+                    continue
+                try:
+                    items.append(operation_from_dict(record))
+                except TraceFormatError as exc:
+                    if not decoder:
+                        raise
+                    raise TraceFormatError(f"s:{number}: {exc}") from exc
+            except TraceFormatError as exc:
+                return items, (type(exc), str(exc))
+        return items, None
+
+    @staticmethod
+    def fields(items):
+        return [
+            repr(item) if isinstance(item, dict) else repr(
+                (item.op_type, item.key, item.value, item.start, item.finish,
+                 item.client, item.weight)
+            )
+            for item in items
+        ]
+
+    def run_handle(self, data):
+        items = []
+        try:
+            handle = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+            for op in iter_jsonl_handle(handle, source="s"):
+                items.append(op)
+        except TraceFormatError as exc:
+            return items, (type(exc), str(exc))
+        return items, None
+
+    def run_decoder(self, data, cut, mixed):
+        decoder = JsonlDecoder(source="s", mixed=mixed)
+        items = []
+        try:
+            items.extend(decoder.feed(data[:cut]))
+            items.extend(decoder.feed(data[cut:]))
+            items.extend(decoder.flush())
+        except TraceFormatError as exc:
+            return items, (type(exc), str(exc))
+        return items, None
+
+    def check(self, lines, *, mixed=False):
+        text = "\n".join(lines) + "\n"
+        data = text.encode("utf-8")
+        want_items, want_error = self.reference(text, decoder=True, mixed=mixed)
+        want = (self.fields(want_items), want_error)
+        if not mixed:
+            items, error = self.run_handle(data)
+            handle_items, handle_error = self.reference(text, decoder=False)
+            assert (self.fields(items), error) == (self.fields(handle_items), handle_error)
+        for cut in range(len(data) + 1):
+            items, error = self.run_decoder(data, cut, mixed)
+            got = self.fields(items)
+            # A failing feed() drops what it decoded before the bad line.
+            expected = want[0][: len(got)] if error else want[0]
+            assert (got, error) == (expected, want_error), f"cut at byte {cut}"
+        return want
+
+    def test_good_lines(self):
+        items, error = self.check(self.GOOD)
+        assert error is None and len(items) == 7
+
+    @pytest.mark.parametrize("name", sorted(BAD))
+    def test_bad_line(self, name):
+        items, error = self.check(self.GOOD[:3] + [self.BAD[name]] + self.GOOD[:1])
+        assert len(items) == 3 and error is not None
+        assert error[1].startswith("s:4: "), error
+
+    def test_mixed_mode_control_frames(self):
+        lines = [self.GOOD[0], self.FRAMES[0], *self.GOOD[1:4], *self.FRAMES[1:], "null"]
+        items, error = self.check(lines, mixed=True)
+        assert [item.count("'type'") for item in items] == [0, 1, 0, 0, 0, 1, 0]
+        assert error == (TraceFormatError, "s:8: malformed operation record: None")

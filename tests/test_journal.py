@@ -17,6 +17,7 @@ from __future__ import annotations
 import asyncio
 import pickle
 import random
+import time
 
 import pytest
 
@@ -426,8 +427,41 @@ def test_crafted_blobs_raise_each_unpickling_error():
             pickle.loads(blob)
 
 
+async def wait_released(server, session_id, timeout_s=10.0):
+    """Poll until the server has closed ``session_id``'s connection.
+
+    The ``report`` frame goes out before the server discards the finished
+    session's checkpoint and releases its id, so a client may hold the
+    report while the id is still taken.
+    """
+    deadline = time.monotonic() + timeout_s
+    while any(
+        row.session_id == session_id and row.connected
+        for row in server.service_report().sessions
+    ):
+        assert time.monotonic() < deadline, f"{session_id!r} was never released"
+        await asyncio.sleep(0.005)
+
+
 @pytest.mark.parametrize("workers", [0, 2])
 def test_unreadable_checkpoints_give_typed_error_frames(tmp_path, workers):
+    unreadable_checkpoints_scenario(tmp_path, workers)
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_unreadable_checkpoints_after_a_slow_discard(tmp_path, monkeypatch, workers):
+    # Widen the window between the report frame and the id's release.
+    discard = CheckpointStore.discard
+
+    def delayed_discard(self, session_id):
+        time.sleep(0.2)
+        return discard(self, session_id)
+
+    monkeypatch.setattr(CheckpointStore, "discard", delayed_discard)
+    unreadable_checkpoints_scenario(tmp_path, workers)
+
+
+def unreadable_checkpoints_scenario(tmp_path, workers):
     _trace, stream = make_trace_ops(random.Random(TEST_SEED + 97), registers=2, ops=8)
     blobs = {error.__name__: blob for error, blob in UNPICKLABLE.items()}
     blobs.update(MALFORMED)
@@ -448,6 +482,7 @@ def test_unreadable_checkpoints_give_typed_error_frames(tmp_path, workers):
                 await client.checkpoint()
                 report = await client.finish()
                 assert report.ops == len(stream), name
+                await wait_released(server, "bad")
         finally:
             await server.stop()
 

@@ -11,6 +11,7 @@ un-shortened write would slip past ``==``).
 
 from __future__ import annotations
 
+import asyncio
 import pickle
 import random
 
@@ -27,9 +28,12 @@ from repro.core.api import verify
 from repro.core.errors import DuplicateValueError
 from repro.core.history import History
 from repro.core.operation import read, write
+from repro.service import AuditSession, PooledAuditSession, WorkerPool
+from repro.service.session import SessionConfig
 from repro.workloads.synthetic import practical_history, synthetic_trace
 
 from tests.conftest import TEST_SEED
+from tests.test_service import make_trace_ops
 
 
 def signature(result):
@@ -317,3 +321,176 @@ class TestLatchedNo:
         assert not checker.check_now()
         with pytest.raises(DuplicateValueError):
             checker.feed(write("a", 8.0, 9.0))
+
+
+@pytest.fixture
+def batch_calls(monkeypatch):
+    """Count the checkers' batch verifications (``RecheckChecker._batch_verify``)."""
+    calls = []
+    original = RecheckChecker._batch_verify
+
+    def spy(self, ops):
+        calls.append(len(ops))
+        return original(self, ops)
+
+    monkeypatch.setattr(RecheckChecker, "_batch_verify", spy)
+    return calls
+
+
+def finish_and_compare(checker, stream, batch_calls):
+    """Finish; assert it equals batch on ``stream``; return its batch calls."""
+    before = len(batch_calls)
+    final = checker.finish()
+    expected = verify(History(stream), 2, algorithm=checker.algorithm, preprocess=True)
+    assert signature(final) == signature(expected)
+    assert checker._last_verdict.final and checker._last_verdict.result is final
+    return len(batch_calls) - before
+
+
+def clean_stream(seed, n=120):
+    history = practical_history(random.Random(seed), n, staleness_probability=0.0)
+    return completion_order(history.operations)
+
+
+class TestFinish:
+    @pytest.mark.parametrize("check_before_finish", [True, False])
+    def test_clean_streams_finish_on_the_growing_path(
+        self, batch_calls, check_before_finish
+    ):
+        tails = 0
+        for seed in range(8):
+            ops = clean_stream(TEST_SEED + 100 + seed)
+            checker = IncrementalLBTChecker()
+            for op in ops:
+                checker.feed(op)
+            if check_before_finish:
+                checker.check_now()
+            before = checker.checks_run
+            assert checker._lbt is not None and not checker.pending_reads
+            assert finish_and_compare(checker, ops, batch_calls) == 0
+            # A cached verdict costs nothing; tail ops cost one growing check.
+            assert checker.checks_run - before == (0 if check_before_finish else 1)
+            tails += checker.checks_run - before
+        assert batch_calls == []
+        assert tails == (0 if check_before_finish else 8)
+
+    def test_a_non_atomic_tail_finishes_no_on_the_growing_path(self, batch_calls):
+        ops = clean_stream(TEST_SEED + 120, n=60)
+        t = max(op.finish for op in ops) + 1.0
+        ops += [  # stale by two: NO at k=2
+            write("s1", t, t + 1.0),
+            write("s2", t + 2.0, t + 3.0),
+            write("s3", t + 4.0, t + 5.0),
+            read("s1", t + 6.0, t + 7.0),
+        ]
+        checker = IncrementalLBTChecker(check_interval=len(ops) + 1)
+        for op in ops:
+            checker.feed(op)
+        assert finish_and_compare(checker, ops, batch_calls) == 0
+        assert not checker.peek() and batch_calls == []
+
+    def test_finish_after_restore_at_every_index(self, batch_calls):
+        ops = clean_stream(TEST_SEED + 121, n=60)
+        for cut in range(len(ops) + 1):
+            checker = IncrementalLBTChecker(check_interval=4)
+            for i, op in enumerate(ops[:cut]):
+                checker.feed(op)
+                if i % 3 == 0:
+                    checker.check_now()
+            resumed = restore_checker(pickle.loads(pickle.dumps(checker.snapshot())))
+            for op in ops[cut:]:
+                resumed.feed(op)
+            assert finish_and_compare(resumed, ops, batch_calls) == 0, cut
+        assert batch_calls == []
+
+    def test_read_whose_write_never_arrives(self, batch_calls):
+        ops = [write("a", 0.0, 1.0), read("a", 2.0, 3.0), read("ghost", 4.0, 5.0)]
+        checker = IncrementalLBTChecker(check_interval=1)
+        for op in ops:
+            checker.feed(op)
+        assert checker._lbt is not None and checker.pending_reads == 1
+        assert finish_and_compare(checker, ops, batch_calls) == 1
+        assert not checker.peek().result
+
+    def test_read_preceding_its_write(self, batch_calls):
+        ops = [write("a", 0.0, 1.0), read("b", 2.5, 3.0), write("b", 3.5, 4.0)]
+        checker = IncrementalLBTChecker(check_interval=100)
+        for op in ops:
+            checker.feed(op)
+        assert checker._lbt is None and not checker.pending_reads
+        assert finish_and_compare(checker, ops, batch_calls) == 1
+
+    def test_a_tie(self, batch_calls):
+        ops = [write("a", 0.0, 1.0), read("a", 1.0, 2.0), write("b", 3.0, 4.0)]
+        checker = IncrementalLBTChecker(check_interval=100)
+        for op in ops:
+            checker.feed(op)
+        assert checker._lbt is None
+        assert finish_and_compare(checker, ops, batch_calls) == 1
+
+    def test_a_shortened_finish_meeting_a_timestamp(self, batch_calls):
+        shortened = 5.0 - 1e-9
+        ops = [
+            write("a", 0.0, 10.0),
+            read("a", 1.0, 5.0),
+            read("a", 10.5, 11.0),
+            write("b", shortened, 12.0),
+            read("b", 12.5, 13.0),
+        ]
+        checker = IncrementalLBTChecker(check_interval=100)
+        for op in ops:
+            checker.feed(op)
+        assert checker._lbt is None
+        assert finish_and_compare(checker, ops, batch_calls) == 1
+
+    def test_a_latched_no(self, batch_calls):
+        ops = [
+            write("a", 0.0, 1.0),
+            write("b", 2.0, 3.0),
+            write("c", 4.0, 5.0),
+            read("a", 6.0, 7.0),
+            write("d", 8.0, 9.0),
+            read("d", 9.5, 10.0),
+        ]
+        checker = IncrementalLBTChecker(check_interval=1)
+        for op in ops:
+            checker.feed(op)
+        assert checker._latched is not None and checker._lbt is None
+        assert batch_calls == []  # the growing checker latched it
+        assert finish_and_compare(checker, ops, batch_calls) == 1
+
+    @pytest.mark.parametrize("delegate", ["fzf", "lbt-reference"])
+    def test_other_delegates(self, batch_calls, delegate):
+        ops = clean_stream(TEST_SEED + 122, n=40)
+        checker = IncrementalLBTChecker(algorithm=delegate)
+        for op in ops:
+            checker.feed(op)
+        before = len(batch_calls)
+        assert finish_and_compare(checker, ops, batch_calls) == 1
+        assert before > 0  # its cadence checks were batch calls too
+
+    def test_pooled_final_report_equals_the_in_process_one(self):
+        _trace, stream = make_trace_ops(
+            random.Random(TEST_SEED + 123), registers=4, ops=60, staleness=0.1
+        )
+        config = SessionConfig(k=2, algorithm="lbt", window_mode="count", window_size=16)
+        local = AuditSession.start("local", config)
+        for op in stream:
+            local.feed(op)
+        expected = local.finish()
+
+        async def pooled():
+            pool = WorkerPool(2)
+            await pool.start()
+            try:
+                session = PooledAuditSession.start("pooled", config, pool)
+                for op in stream:
+                    await session.afeed(op)
+                return await session.afinish()
+            finally:
+                await pool.stop()
+
+        report = asyncio.run(pooled())
+        assert list(report.results) == list(expected.results)
+        for key, result in expected.results.items():
+            assert signature(report.results[key]) == signature(result), key

@@ -207,6 +207,50 @@ def test_worker_kill_failover_keeps_verdict_stream_identical():
         assert sum(row.restored_shards for row in stats) >= 1
 
 
+def test_feeder_parked_on_a_dead_worker_wakes_with_its_replacement(monkeypatch):
+    """A feed that meets a dead worker before its replacement exists parks
+    on the dead handle; the respawn must wake it, not the recovery timeout
+    (30 s).  Recovery is held back so the feed always gets there first."""
+    _trace, stream = make_trace_ops(
+        random.Random(TEST_SEED + 9), registers=3, ops=40, staleness=0.1
+    )
+    ref_windows, ref_report = run_single_process(stream)
+    recover = WorkerPool._recover
+
+    async def slow_recover(self, worker_id, generation):
+        await asyncio.sleep(0.3)
+        await recover(self, worker_id, generation)
+
+    monkeypatch.setattr(WorkerPool, "_recover", slow_recover)
+    half = len(stream) // 2
+
+    async def scenario():
+        pool = WorkerPool(1)
+        await pool.start()
+        try:
+            session = PooledAuditSession.start("parked", CONFIG, pool)
+            windows = [r for op in stream[:half] if (r := await session.afeed(op)) is not None]
+            os.kill(pool.worker_pids()[0], signal.SIGKILL)
+            while pool.worker_stats()[0].alive:
+                await asyncio.sleep(0.005)
+
+            async def rest():
+                for op in stream[half:]:
+                    if (report := await session.afeed(op)) is not None:
+                        windows.append(report)
+                return await session.afinish()
+
+            final = await asyncio.wait_for(rest(), timeout=10.0)
+            return windows, final, pool.worker_stats()
+        finally:
+            await pool.stop()
+
+    windows, report, stats = asyncio.run(scenario())
+    assert_window_parity(ref_windows, windows)
+    assert_report_parity(ref_report, report)
+    assert stats[0].restarts == 1
+
+
 def test_resize_mid_stream_keeps_parity_and_moves_few_shards():
     trace, stream = make_trace_ops(
         random.Random(TEST_SEED + 3), registers=8, ops=60, staleness=0.1

@@ -176,18 +176,10 @@ def test_cost_model_roundtrip_and_knob_picks():
     clone = CostModel.from_dict(model.to_dict())
     assert clone.coeffs == model.coeffs
     assert clone.confirm_interval == model.confirm_interval
+    # Payloads written before the window budget was dropped still load.
+    older = CostModel.from_dict({**model.to_dict(), "window_budget_s": 0.04})
+    assert older.to_dict() == model.to_dict()
     assert model.choose_kernel(100) in ("object", "numpy")
-    assert model.choose_executor(100, 1) == "serial"
-    assert model.choose_window(1000.0) >= 1
-    sweep = model.choose_k_sweep(
-        TraceFeatures(
-            num_ops=10, num_writes=5, num_reads=5, duration=1.0,
-            op_rate=10.0, overlap_density=0.0, anomaly_score=0.0,
-            max_value_lag=1,
-        ),
-        3,
-    )
-    assert sweep and all(1 <= k <= 3 for k in sweep)
 
 
 def test_cost_model_calibrate_refits_from_real_probes(rng):
