@@ -7,7 +7,6 @@ registers by default) it times:
 
 * the seed-style serial baseline (one ``verify`` call per register, in order),
 * ``Engine(executor="serial")`` — measures engine overhead (should be ~1x),
-* ``Engine(executor="threads")`` — GIL-bound for these pure-Python verifiers,
 * ``Engine(executor="processes")`` — the multi-core path, swept over worker
   counts.
 
@@ -88,7 +87,6 @@ def run(num_registers=64, ops_per_register=600, k=2, jobs_sweep=None, skew=1.0, 
         return base_s / elapsed
 
     bench("engine serial", Engine(executor="serial"), 1)
-    bench("engine threads", Engine(executor="threads", jobs=min(4, max(2, cpus))), min(4, max(2, cpus)))
     for jobs in jobs_sweep:
         process_speedups[jobs] = bench(
             f"engine processes", Engine(executor="processes", jobs=jobs), jobs

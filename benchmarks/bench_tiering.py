@@ -1,35 +1,29 @@
-"""Adaptive tiered verification: speedup, escalation rates, and parity.
+"""Adaptive tiered streaming: wall-clock, bypassed checks, and parity.
 
-The tier ladder (:mod:`repro.engine.tiering`) answers clean registers with
-the cheapest sound rung (the GK screen at k'=1, exploiting k-monotonicity)
-and escalates to the exact checker only where trigger features — anomalous
-reads, value lag >= k, overlap density — say a NO is possible.  This
-benchmark quantifies both sides of that bargain on a clean and a stale
-workload arm, batch and streaming:
+A tier policy (:mod:`repro.engine.tiering`) lets a rolling
+:class:`StreamingEngine` answer a (register, window) with the checker's O(1)
+peek and escalates to the authoritative check only where trigger features —
+anomalous reads, value lag >= k, a latched alarm, overlap density under
+``auto`` — say a NO is possible.  This benchmark measures both sides of that
+bargain on a clean and a stale workload arm: the wall-clock of an untiered
+(``exact``) and each tiered rolling pass, the register-windows that rode the
+peek instead of the check (``register_windows_bypassed`` — the "no silent
+caps" counter), and a verdict+reason digest of the final results.
 
-* **batch section** — exact-only vs. ``Engine(tier=...)`` wall-clock per
-  tier policy, screen/escalation rates from the report's
-  :class:`~repro.engine.tiering.TierStats`, a verdict+reason parity digest
-  (identical across the exact and every tiered run or the ladder lied),
-  and the calibrated :class:`~repro.engine.tiering.CostModel`'s mean fit
-  error;
-* **streaming section** — a tiered :class:`StreamingEngine` pass per arm,
-  counting windows that rode the O(1) peek instead of the authoritative
-  check (``windows_bypassed_exact`` — the "no silent caps" counter) and
-  checking final verdicts against the untiered stream.
+Every pass streams a freshly generated trace (same seed, new objects), so no
+pass runs on histories whose caches an earlier pass warmed.  Batch audits
+have no tier: on complete traces the exact checker was never beaten
+(``docs/performance.md``).
 
 Run with::
 
     PYTHONPATH=src python benchmarks/bench_tiering.py [--registers 12]
-        [--ops 400] [--window 32] [--json PATH] [--check]
+        [--ops 400] [--window 32] [--repeat 1] [--json PATH] [--check]
 
-``--check`` fails when any parity digest diverges from the exact run's,
-when the clean arm's auto-tier escalation rate exceeds
-``--check-max-clean-escalation``, when a stale register that the exact
-oracle fails was never escalated, when the clean-arm tiered batch run is
-not under ``--check-max-clean-frac`` of the exact wall-clock, or when the
-clean streaming arm never bypassed a register-window.  CI runs a reduced
-size.
+``--check`` fails when a tiered digest diverges from the untiered stream's,
+when a register the untiered stream fails never had a ``check`` window, or
+when the clean arm's ``auto`` pass never bypassed a register-window.  CI runs
+a reduced size.
 """
 
 from __future__ import annotations
@@ -38,6 +32,7 @@ import argparse
 import hashlib
 import json
 import random
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -49,36 +44,32 @@ if __name__ == "__main__" and __package__ is None:
         sys.path.insert(0, str(_src))
 
 from repro.core.windows import WindowPolicy
-from repro.engine import Engine, StreamingEngine
-from repro.engine.tiering import CostModel, get_tier_policy
+from repro.engine import StreamingEngine
 from repro.workloads.synthetic import synthetic_trace
 
 SEED = 0xC0FFEE
 K = 2
-TIERS = ("screen", "auto")
+TIERS = ("exact", "screen", "auto")
+
+#: The two workload arms: screening heaven and escalation purgatory.
+ARMS = {
+    "clean": (SEED, dict(staleness_probability=0.0)),
+    "stale": (SEED + 1, dict(staleness_probability=0.15, max_staleness=2)),
+}
 
 
-def make_arms(registers, ops_per_register):
-    """The two workload arms: screening heaven and escalation purgatory."""
-    return {
-        "clean": synthetic_trace(
-            random.Random(SEED), registers, ops_per_register,
-            staleness_probability=0.0,
-        ),
-        "stale": synthetic_trace(
-            random.Random(SEED + 1), registers, ops_per_register,
-            staleness_probability=0.15, max_staleness=2,
-        ),
-    }
+def fresh_stream(arm, registers, ops_per_register):
+    """A newly generated trace of ``arm``, in completion order."""
+    seed, knobs = ARMS[arm]
+    trace = synthetic_trace(random.Random(seed), registers, ops_per_register, **knobs)
+    return sorted(
+        (op for key in trace.keys() for op in trace[key].operations),
+        key=lambda op: (op.finish, op.op_id),
+    )
 
 
 def verdict_digest(report):
-    """Order-independent digest of every (key, verdict, reason) triple.
-
-    NOs only ever come from the exact rung, so reasons must match the
-    exact-only run character for character; screened YES reasons name the
-    rung that answered and are digested as plain booleans instead.
-    """
+    """Order-independent digest of every (key, verdict, NO reason) triple."""
     parts = []
     for key in sorted(report.results, key=repr):
         result = report.results[key]
@@ -87,110 +78,58 @@ def verdict_digest(report):
     return hashlib.sha256(";".join(parts).encode()).hexdigest()[:16]
 
 
-# ----------------------------------------------------------------------
-# Batch section
-# ----------------------------------------------------------------------
-def bench_batch(trace, out):
-    t0 = time.perf_counter()
-    exact = Engine().verify_trace(trace, K)
-    exact_s = time.perf_counter() - t0
-    record = {
-        "exact_s": round(exact_s, 4),
-        "digest": verdict_digest(exact),
-        "tiers": {},
-    }
-    print(f"    exact    {exact_s:7.4f}s  digest {record['digest']}", file=out)
+def bench_arm(arm, registers, ops_per_register, window, repeat, out):
+    record = {}
     for tier in TIERS:
-        t0 = time.perf_counter()
-        tiered = Engine(tier=tier).verify_trace(trace, K)
-        elapsed = time.perf_counter() - t0
-        stats = dict(tiered.tier_stats)
-        rec = {
-            "elapsed_s": round(elapsed, 4),
-            "speedup": round(exact_s / elapsed, 2) if elapsed else None,
-            "digest": verdict_digest(tiered),
-            "screen_rate": stats.get("screen_rate", 0.0),
-            "escalation_rate": stats.get("escalation_rate", 0.0),
+        walls = []
+        for _ in range(repeat):
+            ops = fresh_stream(arm, registers, ops_per_register)
+            engine = StreamingEngine(window=WindowPolicy.count(window), tier=tier)
+            t0 = time.perf_counter()
+            report = engine.verify_stream(ops, K)
+            walls.append(time.perf_counter() - t0)
+        # Untiered windows always check; tiered ones record their route.
+        checked = {
+            key for w in report.timeline for key, mode in w.tiers.items() if mode == "check"
         }
-        record["tiers"][tier] = rec
-        print(
-            f"    {tier:8s} {elapsed:7.4f}s  {rec['speedup']:5.2f}x  "
-            f"screen {rec['screen_rate']:.2f}  escalate "
-            f"{rec['escalation_rate']:.2f}  digest {rec['digest']}",
-            file=out,
-        )
-    # Escalation soundness observable: every exact-NO register escalated.
-    auto = Engine(tier="auto").verify_trace(trace, K)
-    record["unescalated_nos"] = sorted(
-        repr(key)
-        for key, result in auto.results.items()
-        if not result and not auto.tier_decisions[key].escalated
-    )
-    return record
-
-
-# ----------------------------------------------------------------------
-# Streaming section
-# ----------------------------------------------------------------------
-def bench_stream(trace, window, out):
-    ops = sorted(
-        (op for key in trace.keys() for op in trace[key].operations),
-        key=lambda op: (op.finish, op.op_id),
-    )
-    policy = WindowPolicy.count(window)
-    exact = StreamingEngine(window=policy).verify_stream(ops, K)
-    record = {"digest": verdict_digest(exact), "tiers": {}}
-    for tier in TIERS:
-        report = StreamingEngine(window=policy, tier=tier).verify_stream(ops, K)
         rec = {
+            "elapsed_s": round(statistics.median(walls), 4),
             "digest": verdict_digest(report),
-            "windows_bypassed_exact": report.windows_bypassed_exact,
             "register_windows_bypassed": report.register_windows_bypassed,
+            "windows_bypassed_exact": report.windows_bypassed_exact,
             "escalated_checks": report.escalated_checks,
+            "unchecked_nos": sorted(
+                repr(key)
+                for key, r in report.results.items()
+                if not r and tier != "exact" and key not in checked
+            ),
         }
-        record["tiers"][tier] = rec
+        record[tier] = rec
         print(
-            f"    {tier:8s} bypassed {rec['windows_bypassed_exact']:3d} windows "
-            f"({rec['register_windows_bypassed']} register-windows), "
-            f"{rec['escalated_checks']} escalations  digest {rec['digest']}",
+            f"    {tier:8s} {rec['elapsed_s']:7.4f}s  bypassed "
+            f"{rec['register_windows_bypassed']:5d} register-windows, "
+            f"{rec['escalated_checks']:5d} escalations  digest {rec['digest']}",
             file=out,
         )
     return record
 
 
-def run(registers, ops_per_register, window, json_path, check,
-        check_max_clean_frac, check_max_clean_escalation, out=sys.stdout):
-    arms = make_arms(registers, ops_per_register)
+def run(registers, ops_per_register, window, repeat, json_path, check, out=sys.stdout):
     print(
-        f"tiering benchmark: {registers} registers x {ops_per_register} ops, "
-        f"k={K}, window={window}",
+        f"tiering benchmark (rolling stream): {registers} registers x "
+        f"{ops_per_register} ops, k={K}, window={window}, median of {repeat}",
         file=out,
     )
-    model = CostModel.calibrate(
-        {key: arms["clean"][key] for key in arms["clean"].keys()}
-    )
-    fit_error = (
-        sum(model.fit_errors.values()) / len(model.fit_errors)
-        if model.fit_errors
-        else None
-    )
-    if fit_error is not None:
-        print(f"  cost model: mean fit error {fit_error:.3f}", file=out)
-
     record = {
         "config": {
             "registers": registers, "ops_per_register": ops_per_register,
-            "k": K, "window": window,
+            "k": K, "window": window, "repeat": repeat,
         },
-        "fit_error": round(fit_error, 4) if fit_error is not None else None,
         "arms": {},
     }
-    for arm, trace in arms.items():
-        print(f"  {arm} arm (batch):", file=out)
-        batch = bench_batch(trace, out)
-        print(f"  {arm} arm (streaming):", file=out)
-        stream = bench_stream(trace, window, out)
-        record["arms"][arm] = {"batch": batch, "stream": stream}
+    for arm in ARMS:
+        print(f"  {arm} arm:", file=out)
+        record["arms"][arm] = bench_arm(arm, registers, ops_per_register, window, repeat, out)
 
     if json_path:
         Path(json_path).parent.mkdir(parents=True, exist_ok=True)
@@ -199,46 +138,27 @@ def run(registers, ops_per_register, window, json_path, check,
 
     if check:
         failures = []
-        for arm, data in record["arms"].items():
-            for section in ("batch", "stream"):
-                expected = data[section]["digest"]
-                for tier, rec in data[section]["tiers"].items():
-                    if rec["digest"] != expected:
-                        failures.append(
-                            f"{arm}/{section}/tier={tier}: verdict digest "
-                            f"{rec['digest']} != exact {expected} — the "
-                            "ladder changed a verdict or a NO reason"
-                        )
-        clean_batch = record["arms"]["clean"]["batch"]
-        auto_clean = clean_batch["tiers"]["auto"]
-        if auto_clean["escalation_rate"] > check_max_clean_escalation:
-            failures.append(
-                f"clean-arm auto escalation rate "
-                f"{auto_clean['escalation_rate']:.2f} exceeds "
-                f"{check_max_clean_escalation:.2f} — the feature gate is "
-                "escalating traces with nothing to escalate for"
-            )
-        frac = auto_clean["elapsed_s"] / clean_batch["exact_s"]
-        if frac > check_max_clean_frac:
-            failures.append(
-                f"clean-arm tiered batch run is {frac:.2f}x the exact "
-                f"wall-clock (ceiling {check_max_clean_frac:.2f}) — the "
-                "screen is not earning its keep"
-            )
-        for arm in ("clean", "stale"):
-            unescalated = record["arms"][arm]["batch"]["unescalated_nos"]
-            if unescalated:
-                failures.append(
-                    f"{arm} arm: exact-NO registers never escalated: "
-                    + ", ".join(unescalated)
-                )
+        for arm, tiers in record["arms"].items():
+            expected = tiers["exact"]["digest"]
+            for tier, rec in tiers.items():
+                if rec["digest"] != expected:
+                    failures.append(
+                        f"{arm}/tier={tier}: verdict digest {rec['digest']} != "
+                        f"untiered {expected} — the screen changed a final "
+                        "verdict or a NO reason"
+                    )
+                if rec["unchecked_nos"]:
+                    failures.append(
+                        f"{arm}/tier={tier}: NO registers never checked: "
+                        + ", ".join(rec["unchecked_nos"])
+                    )
         # Whole-window bypasses need every register of a window to peek at
         # once, which dense multi-register windows rarely line up; the
         # per-register counter is the inertness gate.
-        clean_stream_auto = record["arms"]["clean"]["stream"]["tiers"]["auto"]
-        if clean_stream_auto["register_windows_bypassed"] == 0:
+        bypassed = record["arms"]["clean"]["auto"]["register_windows_bypassed"]
+        if bypassed == 0:
             failures.append(
-                "clean streaming arm never bypassed a register-window — "
+                "clean arm never bypassed a register-window under auto — "
                 "tiering is inert in the stream path"
             )
         print("", file=out)
@@ -247,11 +167,9 @@ def run(registers, ops_per_register, window, json_path, check,
                 print(f"CHECK FAILED: {failure}", file=out)
             return record, 1
         print(
-            f"CHECK OK: all verdict digests match exact, clean auto run at "
-            f"{frac:.2f}x exact wall-clock with escalation rate "
-            f"{auto_clean['escalation_rate']:.2f}, "
-            f"{clean_stream_auto['register_windows_bypassed']} "
-            "clean register-windows bypassed",
+            f"CHECK OK: every tiered digest matches the untiered stream, every "
+            f"NO register was checked, {bypassed} clean register-windows "
+            "bypassed under auto",
             file=out,
         )
     return record, 0
@@ -264,40 +182,24 @@ def main(argv=None):
                         help="operations per register")
     parser.add_argument("--window", type=int, default=32,
                         help="streaming window size (count policy)")
+    parser.add_argument("--repeat", type=int, default=1,
+                        help="timed passes per tier and arm; the median is kept")
     parser.add_argument("--json", default=None,
                         help="record results to this JSON path")
     parser.add_argument(
         "--check",
         action="store_true",
-        help="fail (exit 1) on digest divergence, clean-arm over-escalation, "
-        "an unescalated exact-NO register, a clean tiered run slower than "
-        "the ceiling, or an inert streaming tier",
-    )
-    parser.add_argument(
-        "--check-max-clean-frac",
-        type=float,
-        default=0.9,
-        dest="check_max_clean_frac",
-        help="ceiling on tiered/exact wall-clock fraction for the clean "
-        "batch arm (default 0.9)",
-    )
-    parser.add_argument(
-        "--check-max-clean-escalation",
-        type=float,
-        default=0.25,
-        dest="check_max_clean_escalation",
-        help="ceiling on the clean arm's auto-tier escalation rate "
-        "(default 0.25)",
+        help="fail (exit 1) on digest divergence, an unchecked NO register, "
+        "or an inert clean-arm tier",
     )
     args = parser.parse_args(argv)
     _, status = run(
         registers=args.registers,
         ops_per_register=args.ops,
         window=args.window,
+        repeat=args.repeat,
         json_path=args.json,
         check=args.check,
-        check_max_clean_frac=args.check_max_clean_frac,
-        check_max_clean_escalation=args.check_max_clean_escalation,
     )
     return status
 

@@ -47,9 +47,8 @@ SECTIONS = [
      ["Engine"]),
     ("Streaming engine", "repro.engine.streaming",
      ["StreamingEngine", "StreamSession"]),
-    ("Adaptive tier ladder", "repro.engine.tiering",
-     ["get_tier_policy", "TierPolicy", "TierDecision", "TierStats",
-      "TierStreamState", "TraceFeatures", "CostModel"]),
+    ("Tiered streams", "repro.engine.tiering",
+     ["get_tier_policy", "TierPolicy", "TierStreamState"]),
     ("Durable state stores", "repro.state",
      ["StateStore", "open_state_store", "available_backends",
       "write_file_atomic", "fsync_directory", "JsonFileStateStore",

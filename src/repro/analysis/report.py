@@ -147,14 +147,6 @@ class TraceVerificationReport:
     elapsed_s: float
     #: Registers left unverified because the engine short-circuited.
     skipped_keys: Tuple[Hashable, ...] = ()
-    #: Tier policy the run used (``"exact"`` when tiering was off).
-    tier: str = "exact"
-    #: Aggregate tier hit-rates (:meth:`repro.engine.tiering.TierStats.to_dict`)
-    #: — empty when tiering was off.
-    tier_stats: Mapping[str, object] = field(default_factory=dict)
-    #: Per-register :class:`~repro.engine.tiering.TierDecision` routes, so a
-    #: skipped exact check is never silent.
-    tier_decisions: Mapping[str, object] = field(default_factory=dict)
     #: Operations per register of the whole trace, in register order
     #: (skipped registers included).
     register_sizes: Mapping[Hashable, int] = field(default_factory=dict)
@@ -205,12 +197,6 @@ class TraceVerificationReport:
         ]
         if self.skipped_keys:
             parts.append(f"{len(self.skipped_keys)} registers skipped after first failure")
-        if self.tier != "exact" and self.tier_stats:
-            ts = self.tier_stats
-            parts.append(
-                f"tier={self.tier}: {ts.get('screened', 0)}/{ts.get('total', 0)} "
-                f"screened, {ts.get('exact', 0)} exact"
-            )
         return " — ".join(parts)
 
     def render(self) -> str:
@@ -437,7 +423,6 @@ class StreamVerificationReport:
                 for w in self.timeline
             ),
             elapsed_s=self.elapsed_s,
-            tier=self.tier,
         )
 
     def summary(self) -> str:

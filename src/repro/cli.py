@@ -41,6 +41,7 @@ from typing import List, Optional
 
 from . import __version__
 from .analysis.report import audit_trace, format_table
+from .core.errors import VerificationError
 from .core.windows import WindowPolicy
 from .engine import Engine, StreamingEngine
 from .io.formats import dump_jsonl, follow_jsonl, iter_jsonl_handle, load_trace, stream_trace
@@ -152,6 +153,13 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
         return _cmd_verify_remote(args, out)
     if args.online:
         return _cmd_verify_online(args, out)
+    if args.tier is not None:
+        print(
+            "error: --tier screens rolling stream windows only; add --online "
+            "(batch verification always runs the exact check)",
+            file=out,
+        )
+        return 2
     engine = Engine(
         executor=args.engine,
         jobs=args.jobs,
@@ -159,7 +167,6 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
         algorithm=args.algorithm,
         max_exact_ops=args.max_exact_ops,
         kernel=args.kernel,
-        tier=args.tier,
     )
     # Any format, .rcol included: the engine reads the file as columns and
     # reports each register's size, so the trace is decoded once.
@@ -167,9 +174,7 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
     failures = _print_results_table(
         report.results, args.k, out, op_counts=report.register_sizes
     )
-    if args.engine != "serial" or args.jobs or args.tier:
-        # A tiered run always prints the summary: the tier hit-rates in it
-        # are how a skipped exact check stays visible.
+    if args.engine != "serial" or args.jobs:
         print(report.summary(), file=out)
     return 1 if failures and args.strict else 0
 
@@ -231,19 +236,23 @@ def _cmd_verify_online(args: argparse.Namespace, out) -> int:
     if args.stream_mode == "rolling" and args.engine == "processes":
         print(
             "error: rolling streaming needs a shared-memory executor; use "
-            "--engine serial/threads or --stream-mode windowed",
+            "--engine serial or --stream-mode windowed",
             file=out,
         )
         return 2
-    engine = StreamingEngine(
-        window=_window_policy(args),
-        mode=args.stream_mode,
-        algorithm=args.algorithm,
-        executor=args.engine,
-        jobs=args.jobs,
-        max_exact_ops=args.max_exact_ops,
-        tier=args.tier,
-    )
+    try:
+        engine = StreamingEngine(
+            window=_window_policy(args),
+            mode=args.stream_mode,
+            algorithm=args.algorithm,
+            executor=args.engine,
+            jobs=args.jobs,
+            max_exact_ops=args.max_exact_ops,
+            tier=args.tier,
+        )
+    except VerificationError as exc:  # e.g. a tier on windowed mode
+        print(f"error: {exc}", file=out)
+        return 2
     report = engine.verify_stream(stream_trace(args.trace, args.fmt), args.k)
     print(report.render(), file=out)
     if args.tier:
@@ -624,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument(
         "--engine",
-        choices=["serial", "threads", "processes"],
+        choices=["serial", "processes"],
         default="serial",
         help="shard executor for per-register verification (default serial)",
     )
@@ -651,11 +660,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--tier",
         choices=["exact", "screen", "auto"],
         default=None,
-        help="adaptive verification tier: exact (every register pays the "
-        "full check), screen (k-monotone GK/FZF screen with escalation to "
-        "exact), or auto (screen plus feature gating and cost-model kernel "
-        "selection); unknown names fail the parse — there is no silent "
-        "fallback (default: exact)",
+        help="with --online (rolling mode): exact (every window pays the "
+        "authoritative check), screen (an O(1) peek unless a trigger says a "
+        "NO is possible) or auto (screen plus an overlap-density gate); "
+        "final verdicts are exact either way (default: exact)",
     )
     p_verify.add_argument(
         "--online",

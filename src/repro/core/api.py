@@ -151,7 +151,7 @@ def verify_trace(
     sharded engine (:class:`repro.engine.Engine`); the default serial executor
     with a single round-robin shard reproduces the historical behaviour
     exactly — registers verified one by one, in trace order.  Pass
-    ``executor="threads"``/``"processes"`` (and optionally ``jobs``) to verify
+    ``executor="processes"`` (and optionally ``jobs``) to verify
     registers in parallel, or use :class:`repro.engine.Engine` directly for
     the full report (per-shard timing, fail-fast, pluggable partitioning).
     """

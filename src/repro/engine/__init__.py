@@ -16,22 +16,12 @@ from .engine import (
     run_shard,
 )
 from .streaming import DEFAULT_WINDOW, StreamingEngine
-from .tiering import (
-    TIER_NAMES,
-    CostModel,
-    TierDecision,
-    TierPolicy,
-    TierStats,
-    TierStreamState,
-    TraceFeatures,
-    get_tier_policy,
-)
+from .tiering import TIER_NAMES, TierPolicy, TierStreamState, get_tier_policy
 from .executors import (
     EXECUTORS,
     ProcessExecutor,
     SerialExecutor,
     ShardExecutor,
-    ThreadExecutor,
     default_jobs,
     get_executor,
 )
@@ -45,7 +35,6 @@ from .partition import (
 )
 
 __all__ = [
-    "CostModel",
     "DEFAULT_WINDOW",
     "EXECUTORS",
     "EncodedShardTask",
@@ -63,12 +52,8 @@ __all__ = [
     "SizeBalancedPartitioner",
     "StreamingEngine",
     "TIER_NAMES",
-    "ThreadExecutor",
-    "TierDecision",
     "TierPolicy",
-    "TierStats",
     "TierStreamState",
-    "TraceFeatures",
     "decode_shard_items",
     "default_jobs",
     "encode_shard_items",

@@ -19,9 +19,9 @@ Pipeline (each stage pluggable):
 2. **Sharding** — a :mod:`partitioner <repro.engine.partition>` groups
    registers into shard tasks.
 3. **Execution** — an :mod:`executor <repro.engine.executors>` runs the shard
-   tasks serially, on a thread pool, or on a process pool.  In-process
-   history shards verify each :class:`~repro.core.history.History` with the
-   unified :func:`repro.core.api.verify` entry point; file shards, and
+   tasks serially or on a process pool.  In-process history shards verify
+   each :class:`~repro.core.history.History` with the unified
+   :func:`repro.core.api.verify` entry point; file shards, and
    history shards crossing the process boundary, travel as columns
    (:mod:`repro.engine.codec`) and are sorted and verified from those
    columns by :func:`repro.core.vector.columnar_verdict`.
@@ -51,7 +51,6 @@ from ..core.result import VerificationResult
 from ..analysis.report import ShardStats, TraceVerificationReport
 from .executors import ShardExecutor, default_jobs, get_executor
 from .partition import Partitioner, get_partitioner
-from .tiering import TierDecision, TierPolicy, TierStats, get_tier_policy
 
 __all__ = [
     "ShardTask",
@@ -94,7 +93,6 @@ class ShardTask:
     preprocess: bool
     max_exact_ops: int
     kernel: Optional[str] = None
-    tier: Optional[TierPolicy] = None
 
     @property
     def num_ops(self) -> int:
@@ -112,7 +110,6 @@ class ShardTask:
             preprocess=self.preprocess,
             max_exact_ops=self.max_exact_ops,
             kernel=self.kernel,
-            tier=self.tier,
         )
 
 
@@ -135,7 +132,6 @@ class EncodedShardTask:
     preprocess: bool
     max_exact_ops: int
     kernel: Optional[str] = None
-    tier: Optional[TierPolicy] = None
 
     def decode_items(self) -> Tuple[Tuple[Hashable, History], ...]:
         """Rebuild the ``(key, History)`` pairs."""
@@ -163,7 +159,6 @@ class RcolShardTask:
     preprocess: bool
     max_exact_ops: int
     kernel: Optional[str] = None
-    tier: Optional[TierPolicy] = None
 
 
 @dataclass(frozen=True)
@@ -174,8 +169,6 @@ class ShardOutcome:
     results: Tuple[Tuple[Hashable, VerificationResult], ...]
     num_ops: int
     elapsed_s: float
-    #: Per-register tier routes when the shard ran under a tier policy.
-    tier_decisions: Tuple[TierDecision, ...] = ()
     #: The results in the result codec (:func:`~repro.engine.codec.encode_shard_results`)
     #: when a column-encoded shard comes back from a worker; ``results`` is
     #: empty until :meth:`resolve` rebuilds it on the host.
@@ -199,39 +192,24 @@ class ShardOutcome:
         return replace(self, results=results, payload=None)
 
 
-def _column_verdicts(task, registers, decisions: List[TierDecision]) -> Iterator[Tuple]:
+def _column_verdicts(task, registers) -> Iterator[Tuple]:
     """Verify ``(key, ColumnarHistory)`` registers; yield ``(key, col, verdict)``.
 
-    The one worker loop of the column-fed shards (encoded and ``.rcol``);
-    tier routes are appended to ``decisions``.  The exact fallbacks (timestamp
-    ties, LBT/exact, ``k >= 3``, ``kernel="object"``) live inside
-    :func:`repro.core.vector.columnar_verdict`.
+    The one worker loop of the column-fed shards (encoded and ``.rcol``).
+    The exact fallbacks (timestamp ties, LBT/exact, ``k >= 3``,
+    ``kernel="object"``) live inside :func:`repro.core.vector.columnar_verdict`.
     """
     from ..core import vector
 
-    tier = task.tier if task.tier is not None and task.tier.active else None
     for key, col in registers:
-        if tier is not None:
-            verdict, decision = tier.columnar_verdict_with_decision(
-                col,
-                task.k,
-                key=str(key),
-                algorithm=task.algorithm,
-                preprocess=task.preprocess,
-                max_exact_ops=task.max_exact_ops,
-                kernel=task.kernel,
-            )
-            decisions.append(decision)
-        else:
-            verdict = vector.columnar_verdict(
-                col,
-                task.k,
-                algorithm=task.algorithm,
-                preprocess=task.preprocess,
-                max_exact_ops=task.max_exact_ops,
-                kernel=task.kernel,
-            )
-        yield key, col, verdict
+        yield key, col, vector.columnar_verdict(
+            col,
+            task.k,
+            algorithm=task.algorithm,
+            preprocess=task.preprocess,
+            max_exact_ops=task.max_exact_ops,
+            kernel=task.kernel,
+        )
 
 
 def _rcol_registers(task: RcolShardTask) -> Iterator[Tuple[Hashable, object]]:
@@ -264,55 +242,40 @@ def run_shard(
     inside the worker that owns them, and return YES witnesses undecoded.
     """
     t0 = time.perf_counter()
-    decisions: List[TierDecision] = []
     payload = None
     if isinstance(task, EncodedShardTask):
         registers = decode_shard_columns(task.payload)
-        payload = encode_shard_results(_column_verdicts(task, registers, decisions))
+        payload = encode_shard_results(_column_verdicts(task, registers))
         results: Tuple = ()
     elif isinstance(task, RcolShardTask):
         results = tuple(
             (key, verdict.result)
-            for key, _col, verdict in _column_verdicts(task, _rcol_registers(task), decisions)
+            for key, _col, verdict in _column_verdicts(task, _rcol_registers(task))
         )
     else:
-        results = tuple(_object_results(task, decisions))
+        results = tuple(_object_results(task))
     return ShardOutcome(
         shard_id=task.shard_id,
         results=results,
         num_ops=task.num_ops,
         elapsed_s=time.perf_counter() - t0,
-        tier_decisions=tuple(decisions),
         payload=payload,
     )
 
 
-def _object_results(task: ShardTask, decisions: List[TierDecision]) -> Iterator[Tuple]:
+def _object_results(task: ShardTask) -> Iterator[Tuple]:
     """The reference object path of in-process shards."""
     from ..core.api import verify  # local import keeps worker start-up lean
 
     for key, history in task.items:
-        if task.tier is not None and task.tier.active:
-            result, decision = task.tier.verify_with_decision(
-                history,
-                task.k,
-                key=str(key),
-                algorithm=task.algorithm,
-                preprocess=task.preprocess,
-                max_exact_ops=task.max_exact_ops,
-                kernel=task.kernel,
-            )
-            decisions.append(decision)
-        else:
-            result = verify(
-                history,
-                task.k,
-                algorithm=task.algorithm,
-                preprocess=task.preprocess,
-                max_exact_ops=task.max_exact_ops,
-                kernel=task.kernel,
-            )
-        yield key, result
+        yield key, verify(
+            history,
+            task.k,
+            algorithm=task.algorithm,
+            preprocess=task.preprocess,
+            max_exact_ops=task.max_exact_ops,
+            kernel=task.kernel,
+        )
 
 
 class Engine:
@@ -321,7 +284,7 @@ class Engine:
     Parameters
     ----------
     executor:
-        ``"serial"`` (default), ``"threads"`` or ``"processes"`` — or a
+        ``"serial"`` (default) or ``"processes"`` — or a
         :class:`~repro.engine.executors.ShardExecutor` instance.
     jobs:
         Worker count for pool executors (default: available CPUs; always 1
@@ -338,15 +301,6 @@ class Engine:
         ``"object"`` or ``"numpy"`` (the default, ``None``), forwarded to
         :func:`repro.core.api.verify`.  Carried inside the shard task so
         worker processes honour it too.
-    tier:
-        Adaptive tier policy (:mod:`repro.engine.tiering`): ``None`` or
-        ``"exact"`` (default, every register pays the authoritative
-        checker), ``"screen"`` (cheap-ladder screening with sound
-        escalation) or ``"auto"`` (adds feature gating and cost-model knob
-        picks), or a :class:`~repro.engine.tiering.TierPolicy` instance.
-        Unknown names raise.  Escalation decisions surface in the report's
-        ``tier_stats``/``tier_decisions`` so skipped exact checks are never
-        silent.
     fail_fast:
         When true, stop dispatching after the first shard containing a
         failing register; unverified registers are reported as skipped.
@@ -376,7 +330,6 @@ class Engine:
         preprocess: bool = True,
         max_exact_ops: int = DEFAULT_MAX_EXACT_OPS,
         kernel: Optional[str] = None,
-        tier: "Union[None, str, TierPolicy]" = None,
         fail_fast: bool = False,
     ):
         self.executor = get_executor(executor) if isinstance(executor, str) else executor
@@ -395,8 +348,6 @@ class Engine:
         self.preprocess = preprocess
         self.max_exact_ops = max_exact_ops
         self.kernel = kernel
-        self.tier = get_tier_policy(tier)  # raises on unknown names
-        self.tier_name = self.tier.name if self.tier is not None else "exact"
         self.fail_fast = fail_fast
 
     # ------------------------------------------------------------------
@@ -440,7 +391,6 @@ class Engine:
                 preprocess=self.preprocess,
                 max_exact_ops=self.max_exact_ops,
                 kernel=self.kernel,
-                tier=self.tier,
             )
             shard_id += 1
 
@@ -539,8 +489,6 @@ class Engine:
         """
         merged: Dict[Hashable, VerificationResult] = {}
         stats: List[ShardStats] = []
-        tier_stats = TierStats() if self.tier is not None else None
-        tier_decisions: Dict[str, TierDecision] = {}
         t0 = time.perf_counter()
         outcome_stream = self.executor.run(run_shard, tasks, self.jobs)
         try:
@@ -555,10 +503,6 @@ class Engine:
                         elapsed_s=outcome.elapsed_s,
                     )
                 )
-                if tier_stats is not None:
-                    for decision in outcome.tier_decisions:
-                        tier_stats.record(decision)
-                        tier_decisions[decision.key] = decision
                 if self.fail_fast and outcome.has_failure:
                     break
         finally:
@@ -577,8 +521,5 @@ class Engine:
             shard_stats=tuple(stats),
             elapsed_s=elapsed,
             skipped_keys=skipped,
-            tier=self.tier_name,
-            tier_stats=tier_stats.to_dict() if tier_stats is not None else {},
-            tier_decisions=tier_decisions,
             register_sizes=dict(sizes),
         )

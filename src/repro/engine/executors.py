@@ -1,30 +1,26 @@
-"""Pluggable shard executors: serial, thread pool, process pool.
+"""Pluggable shard executors: serial and process pool.
 
-An executor turns a list of shard tasks into a stream of shard results.  All
-three implementations share one contract (:meth:`ShardExecutor.run`): they
-yield results *as they complete*, which is what lets the engine short-circuit
-on the first failing register without waiting for the remaining shards.
+An executor turns a list of shard tasks into a stream of shard results.  Both
+implementations share one contract (:meth:`ShardExecutor.run`): they yield
+results *as they complete*, which is what lets the engine short-circuit on
+the first failing register without waiting for the remaining shards.
 
 * ``serial`` — runs shards inline, in order; zero overhead, exact seed
   semantics.  The default.
-* ``threads`` — a :class:`~concurrent.futures.ThreadPoolExecutor`.  The
-  verifiers are pure Python, so threads mostly help when verification
-  overlaps I/O (or on GIL-free builds); it is also the cheap way to test
-  executor plumbing.
 * ``processes`` — a :class:`~concurrent.futures.ProcessPoolExecutor`; the
   multi-core path.  Shard tasks carry algorithm *names*, never function
   objects, so everything crossing the process boundary is picklable (see
   :mod:`repro.algorithms.registry`).
 
 When the generator returned by :meth:`run` is closed early (engine
-short-circuit), pool executors cancel all not-yet-started shards; shards
-already running finish but their results are discarded.
+short-circuit), the process executor cancels all not-yet-started shards;
+shards already running finish but their results are discarded.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import FIRST_COMPLETED, Executor, ProcessPoolExecutor, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Callable, Dict, Iterator, Sequence, TypeVar
 
 from ..core.errors import VerificationError
@@ -32,7 +28,6 @@ from ..core.errors import VerificationError
 __all__ = [
     "ShardExecutor",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "EXECUTORS",
     "get_executor",
@@ -80,16 +75,16 @@ class SerialExecutor(ShardExecutor):
             yield fn(task)
 
 
-class _PoolExecutor(ShardExecutor):
-    """Shared machinery for thread/process pools."""
+class ProcessExecutor(ShardExecutor):
+    """Process-pool executor (true multi-core parallelism)."""
 
-    def _make_pool(self, jobs: int) -> Executor:
-        raise NotImplementedError
+    name = "processes"
+    crosses_process_boundary = True
 
     def run(self, fn, tasks, jobs):
         if jobs < 1:
             raise VerificationError(f"jobs must be >= 1, got {jobs}")
-        pool = self._make_pool(min(jobs, max(1, len(tasks))))
+        pool = ProcessPoolExecutor(max_workers=min(jobs, max(1, len(tasks))))
         try:
             pending = {pool.submit(fn, task) for task in tasks}
             while pending:
@@ -102,27 +97,8 @@ class _PoolExecutor(ShardExecutor):
             pool.shutdown(wait=True)
 
 
-class ThreadExecutor(_PoolExecutor):
-    """Thread-pool executor (shared interpreter, shared memory)."""
-
-    name = "threads"
-
-    def _make_pool(self, jobs):
-        return ThreadPoolExecutor(max_workers=jobs, thread_name_prefix="repro-shard")
-
-
-class ProcessExecutor(_PoolExecutor):
-    """Process-pool executor (true multi-core parallelism)."""
-
-    name = "processes"
-    crosses_process_boundary = True
-
-    def _make_pool(self, jobs):
-        return ProcessPoolExecutor(max_workers=jobs)
-
-
 EXECUTORS: Dict[str, ShardExecutor] = {
-    e.name: e for e in (SerialExecutor(), ThreadExecutor(), ProcessExecutor())
+    e.name: e for e in (SerialExecutor(), ProcessExecutor())
 }
 
 

@@ -27,10 +27,10 @@ Two modes:
   *distinct written values*, not with total stream length.
 
 Both modes demultiplex the stream per register (k-atomicity is local,
-Section II-B) and run per-register work through the existing shard executors.
-Rolling mode requires a shared-memory executor (``serial`` or ``threads``)
-because checker state persists across windows; windowed mode may also use
-``processes`` since each window is a self-contained batch job.
+Section II-B).  Rolling mode feeds each register's checker in this process,
+because checker state persists across windows; windowed mode runs each window
+through the batch engine on the configured executor, ``processes`` included,
+since each window is a self-contained batch job.
 """
 
 from __future__ import annotations
@@ -118,9 +118,10 @@ class StreamingEngine:
         Algorithm selection forwarded to the checkers / the batch engine
         (``"auto"`` or a registry name).
     executor, jobs:
-        Per-register work distribution within a window.  Rolling mode accepts
-        ``"serial"``/``"threads"``; windowed mode additionally accepts
-        ``"processes"``.
+        Windowed mode only: the batch engine's executor and worker count for
+        each window (``"serial"`` or ``"processes"``).  Rolling mode keeps
+        checker state in this process and refuses other executors and
+        ``jobs > 1``.
     check_interval, cadence_growth:
         Cadence of the incremental checkers' authoritative re-checks
         (rolling mode only; see :mod:`repro.algorithms.online`).
@@ -135,6 +136,10 @@ class StreamingEngine:
         replay posture.  Final verdicts are identical either way.
     max_exact_ops:
         Size guard for the exponential ``k >= 3`` fallback.
+    tier:
+        Rolling mode only: ``None``/``"exact"`` (every window pays the
+        authoritative check), ``"screen"`` or ``"auto"``
+        (:mod:`repro.engine.tiering`).  Windowed mode refuses a tier.
 
     Example
     -------
@@ -181,12 +186,17 @@ class StreamingEngine:
         )
         if mode == "rolling" and self.executor.crosses_process_boundary:
             raise VerificationError(
-                "rolling streaming mode keeps checker state in shared memory; "
-                "use executor='serial' or 'threads' (or mode='windowed' for "
-                "process-based windows)"
+                "rolling streaming mode keeps checker state in this process; "
+                "use executor='serial' (or mode='windowed' for process-based "
+                "windows)"
             )
         if jobs is not None and jobs < 1:
             raise VerificationError(f"jobs must be >= 1, got {jobs}")
+        if mode == "rolling" and jobs not in (None, 1):
+            raise VerificationError(
+                f"jobs={jobs} applies to mode='windowed' only; rolling mode "
+                "feeds every register's checker in this process"
+            )
         self.jobs = jobs if jobs is not None else (
             1 if self.executor.name == "serial" else default_jobs()
         )
@@ -194,14 +204,18 @@ class StreamingEngine:
         self.cadence_growth = cadence_growth
         self.check_per_window = check_per_window
         self.max_exact_ops = max_exact_ops
-        #: Adaptive tier policy (:mod:`repro.engine.tiering`).  In rolling
-        #: mode it decides per (register, window) whether the authoritative
-        #: ``check_now`` runs or the O(1) ``peek`` screen suffices —
-        #: NO-capable windows (checker alarms, anomalous reads, value lag
-        #: >= k) always escalate, and ``finish()`` stays authoritative, so
-        #: final verdicts are exact either way.  In windowed mode the policy
-        #: rides the per-window batch engine.  ``None``/``"exact"`` disables.
+        #: Adaptive tier policy (:mod:`repro.engine.tiering`): decides per
+        #: (register, window) whether the authoritative ``check_now`` runs or
+        #: the O(1) ``peek`` screen suffices — NO-capable windows (checker
+        #: alarms, anomalous reads, value lag >= k) always escalate, and
+        #: ``finish()`` stays authoritative, so final verdicts are exact
+        #: either way.  ``None``/``"exact"`` disables.
         self.tier: Optional[TierPolicy] = get_tier_policy(tier)
+        if self.tier is not None and mode == "windowed":
+            raise VerificationError(
+                f"tier={self.tier.name!r} screens rolling windows only; "
+                "windowed mode always runs the exact batch check"
+            )
         self.tier_name = self.tier.name if self.tier is not None else "exact"
         #: Optional :class:`repro.state.StateStore` + bound: when both are
         #: set, closed-window timelines keep only the ``retain_windows`` most
@@ -214,7 +228,6 @@ class StreamingEngine:
             jobs=self.jobs,
             algorithm=algorithm,
             max_exact_ops=max_exact_ops,
-            tier=self.tier,
         )
 
     # ------------------------------------------------------------------
@@ -363,23 +376,21 @@ class StreamingEngine:
         by_key: Dict[Hashable, List[Operation]] = {}
         for op in window.fresh_ops:
             by_key.setdefault(op.key, []).append(op)
-        for key in by_key:
-            if key not in checkers:
-                checkers[key] = self._make_checker(k)
+        verdicts: Dict[Hashable, StreamVerdict] = {}
+        tiers: Dict[Hashable, str] = {}
+        escalations: Dict[Hashable, Tuple[str, ...]] = {}
+        for key, register_ops in by_key.items():
+            checker = checkers.get(key)
+            if checker is None:
+                checker = checkers[key] = self._make_checker(k)
                 key_order.append(key)
-            if tier_state is not None:
-                tier_state._state_for(key)  # materialised on the main thread
-
-        def feed_register(task: Tuple[Hashable, List[Operation]]):
-            key, register_ops = task
-            checker = checkers[key]
             for op in register_ops:
                 checker.feed(op)
             if tier_state is None:
-                verdict = (
+                verdicts[key] = (
                     checker.check_now() if self.check_per_window else checker.peek()
                 )
-                return key, verdict, None, ()
+                continue
             # Tiered: the O(1) peek is the screen; the tier state decides
             # whether this (register, window) is NO-capable and must pay the
             # authoritative check.  A latched alarm in the peek counts too.
@@ -387,26 +398,11 @@ class StreamingEngine:
             mode, triggers = tier_state.decide(
                 key, register_ops, alarmed=not quick.result.is_k_atomic
             )
-            verdict = checker.check_now() if mode == "check" else quick
+            verdict = verdicts[key] = checker.check_now() if mode == "check" else quick
             tier_state.note_verdict(key, verdict.result.is_k_atomic)
-            return key, verdict, mode, triggers
-
-        # Each register appears in exactly one task, so pool executors never
-        # touch the same checker (or tier entry) from two workers in a window.
-        verdicts: Dict[Hashable, StreamVerdict] = {}
-        tiers: Dict[Hashable, str] = {}
-        escalations: Dict[Hashable, Tuple[str, ...]] = {}
-        outcome_stream = self.executor.run(feed_register, list(by_key.items()), self.jobs)
-        try:
-            for key, verdict, mode, triggers in outcome_stream:
-                verdicts[key] = verdict
-                if mode is not None:
-                    tiers[key] = mode
-                    if triggers:
-                        escalations[key] = tuple(triggers)
-        finally:
-            outcome_stream.close()
-        ordered = {key: verdicts[key] for key in by_key if key in verdicts}
+            tiers[key] = mode
+            if triggers:
+                escalations[key] = triggers
         return WindowReport(
             stats=WindowStats(
                 index=window.index,
@@ -416,11 +412,9 @@ class StreamingEngine:
                 t_high=window.t_high,
                 elapsed_s=time.perf_counter() - t0,
             ),
-            verdicts=ordered,
-            tiers={key: tiers[key] for key in by_key if key in tiers},
-            escalations={
-                key: escalations[key] for key in by_key if key in escalations
-            },
+            verdicts=verdicts,
+            tiers=tiers,
+            escalations=escalations,
         )
 
     # ------------------------------------------------------------------

@@ -31,15 +31,6 @@ A third measurement kind quantifies the paper's global-clock assumption:
   axes) and report the *verdict flip rate*: the fraction of registers whose
   k-atomicity verdict differs between the skewed trace and its perfectly
   clocked twin, per k in ``k_values``.
-
-A fourth evaluates the adaptive tier ladder:
-
-* ``tiering`` — calibrate a :class:`~repro.engine.tiering.CostModel` on the
-  trial workload, run the identical trace through the exact engine and the
-  tiered one (the ``tier`` knob picks ``screen`` or ``auto``), and report
-  the speedup, escalation/screen rates, the cost model's relative fit
-  error, and a strict verdict+reason parity bit per k in ``k_values`` —
-  the evidence that the screen rung never changes an answer.
 """
 
 from __future__ import annotations
@@ -85,9 +76,6 @@ _SIMULATION_KNOBS = {
 #: Measurement knobs of the ``skew`` kind; they ride the workload table (so
 #: grids can sweep them) but do not affect workload generation itself.
 _SKEW_KNOBS = {"clock_skew_ms", "clock_drift_ppm"}
-#: Measurement knobs of the ``tiering`` kind, same arrangement: ``tier``
-#: picks the policy under test without changing the generated workload.
-_TIERING_KNOBS = {"tier"}
 
 
 def _trial_rng(seed: str) -> random.Random:
@@ -101,7 +89,7 @@ def build_workload(config: Mapping[str, object], seed: str) -> MultiHistory:
     knobs = {
         k: v
         for k, v in config.items()
-        if k != "kind" and k not in _SKEW_KNOBS and k not in _TIERING_KNOBS
+        if k != "kind" and k not in _SKEW_KNOBS
     }
     if kind == "synthetic":
         unknown = set(knobs) - _SYNTHETIC_KNOBS
@@ -305,63 +293,6 @@ def _measure_skew(
     return metrics
 
 
-def _measure_tiering(
-    trace: MultiHistory, trial: TrialSpec, k_values: Tuple[int, ...]
-) -> Dict[str, float]:
-    """Tiered-vs-exact cost and parity over the identical workload.
-
-    The cost model is calibrated on the trial's own trace (so the knob
-    picks reflect this machine, not the committed baselines), then the same
-    registers run through the exact engine and the tiered one.  Parity is
-    strict: every verdict must match, and every NO must carry the identical
-    reason — the tiered path only ever re-badges YES answers.
-    """
-    from dataclasses import replace as dc_replace
-
-    from ..core.errors import VerificationError
-    from ..engine.tiering import CostModel, get_tier_policy
-
-    tier = str(trial.workload.get("tier", "auto"))
-    try:
-        base_policy = get_tier_policy(tier)
-    except VerificationError as exc:
-        raise ExperimentError(str(exc)) from exc
-    if base_policy is None:
-        raise ExperimentError(
-            "tiering experiments compare a screening tier against exact; "
-            f"set tier to 'screen' or 'auto', not {tier!r}"
-        )
-    histories = {key: trace[key] for key in trace.keys()}
-    model = CostModel.calibrate(histories)
-    policy = dc_replace(base_policy, cost_model=model)
-    fit_errors = list(model.fit_errors.values())
-    metrics: Dict[str, float] = {
-        "fit_error": sum(fit_errors) / len(fit_errors) if fit_errors else 0.0,
-    }
-    parity = 1.0
-    for k in k_values:
-        t0 = time.perf_counter()
-        exact = Engine().verify_trace(trace, k)
-        exact_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        tiered = Engine(tier=policy).verify_trace(trace, k)
-        tiered_s = time.perf_counter() - t0
-        for key, exact_result in exact.results.items():
-            tiered_result = tiered.results.get(key)
-            if tiered_result is None or bool(exact_result) != bool(tiered_result):
-                parity = 0.0
-            elif not exact_result and exact_result.reason != tiered_result.reason:
-                parity = 0.0
-        stats = dict(tiered.tier_stats)
-        metrics[f"exact_s_k{k}"] = exact_s
-        metrics[f"tiered_s_k{k}"] = tiered_s
-        metrics[f"speedup_k{k}"] = exact_s / tiered_s if tiered_s > 0 else 0.0
-        metrics[f"screen_rate_k{k}"] = float(stats.get("screen_rate", 0.0))
-        metrics[f"escalation_rate_k{k}"] = float(stats.get("escalation_rate", 0.0))
-    metrics["parity_ok"] = parity
-    return metrics
-
-
 # ----------------------------------------------------------------------
 # Trial and experiment execution
 # ----------------------------------------------------------------------
@@ -380,8 +311,6 @@ def run_trial(
         metrics = _measure_spectrum(trace, trial)
     elif spec.kind == "skew":
         metrics = _measure_skew(trace, trial, spec.k_values)
-    elif spec.kind == "tiering":
-        metrics = _measure_tiering(trace, trial, spec.k_values)
     else:
         metrics = _measure_runtime(trace, trial)
     elapsed = time.perf_counter() - t0

@@ -4,7 +4,7 @@ A spec file (TOML or JSON) describes one experiment::
 
     [experiment]
     name = "staleness-spectrum"
-    kind = "spectrum"              # or "runtime" / "skew" / "tiering"
+    kind = "spectrum"              # or "runtime" / "skew"
     seed = 7
     repeats = 1
 
@@ -52,7 +52,7 @@ class ExperimentError(ReproError):
     """An experiment spec or report is malformed, or the harness was misused."""
 
 
-_KINDS = ("spectrum", "runtime", "skew", "tiering")
+_KINDS = ("spectrum", "runtime", "skew")
 _WORKLOAD_KINDS = ("synthetic", "simulation")
 _TOP_LEVEL_KEYS = {"experiment", "workload", "grid", "engines"}
 _EXPERIMENT_KEYS = {"name", "kind", "description", "seed", "repeats", "k_values"}

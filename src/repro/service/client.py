@@ -124,7 +124,7 @@ class AuditClient:
         ``address`` is ``HOST:PORT`` or ``unix:PATH``; ``window`` is a
         :class:`WindowPolicy` or a plain count-window size.  ``resume=True``
         asks the server to rehydrate ``session`` from its checkpoint store.
-        ``tier`` selects the session's adaptive verification ladder
+        ``tier`` selects the session's tier policy for window checks
         (``"screen"`` / ``"auto"``; the server rejects unknown names at the
         handshake).  ``connect_timeout`` caps the dial; ``io_timeout`` caps
         every subsequent await on the connection (both in seconds, ``None``

@@ -215,6 +215,10 @@ class AuditServer:
         #: a concurrent hello for the same id cannot slip past the duplicate
         #: guard while this one is parked on the to_thread unpickle.
         self._opening: set = set()
+        #: Ids whose session ended but whose checkpoint discard may still be
+        #: running: a hello reusing the id waits for it, so the discard can
+        #: never delete the new session's first checkpoint.
+        self._discards: Dict[str, asyncio.Future] = {}
         #: One entry per logical session id, in first-arrival order: the live
         #: AuditSession while its connection runs, frozen to its (small)
         #: SessionStats row when the connection ends — retaining the live
@@ -390,7 +394,8 @@ class AuditServer:
             self._conn_tasks.discard(task)
             self._conn_queues.pop(task, None)
             if session is not None:
-                self._active.pop(session.session_id, None)
+                if self._active.get(session.session_id) is session:
+                    del self._active[session.session_id]
                 if self._session_log.get(session.session_id) is session:
                     # Frozen rows of unfinished sessions read "detached":
                     # resumable, but nothing is streaming any more.
@@ -607,6 +612,9 @@ class AuditServer:
             self._session_counter += 1
             session_id = f"s{self._session_counter}"
         session_id = str(session_id)
+        discard = self._discards.get(session_id)
+        if discard is not None:
+            await asyncio.shield(discard)
         if session_id in self._active or session_id in self._opening:
             # Retryable: a reconnecting client can beat the old connection's
             # handler to the session, which it releases when it finishes.
@@ -672,23 +680,36 @@ class AuditServer:
             except ReproError as exc:
                 await self._send_error(writer, exc, session)
                 return True
-            await self._send(
-                writer,
-                {
-                    "type": "report",
-                    "session": session.session_id,
-                    "k": report.k,
-                    "ops": session.ops_fed,
-                    "windows": report.num_windows,
-                    "registers": report.num_registers,
-                    "elapsed_s": round(report.elapsed_s, 6),
-                    "results": results_to_pairs(report.results, witness=want_witness),
-                },
-            )
-            if self.store is not None:
-                # A base plus its journal: several deletes, off the loop like
-                # save and load.
-                await asyncio.to_thread(self.store.discard, session.session_id)
+            # Free the id before the report goes out: a client may reuse it
+            # as soon as it reads the report, and that hello then waits only
+            # for this session's checkpoint discard, never for the handler.
+            session_id = session.session_id
+            if self._active.get(session_id) is session:
+                del self._active[session_id]
+            discarded = asyncio.get_running_loop().create_future()
+            self._discards[session_id] = discarded
+            try:
+                await self._send(
+                    writer,
+                    {
+                        "type": "report",
+                        "session": session_id,
+                        "k": report.k,
+                        "ops": session.ops_fed,
+                        "windows": report.num_windows,
+                        "registers": report.num_registers,
+                        "elapsed_s": round(report.elapsed_s, 6),
+                        "results": results_to_pairs(report.results, witness=want_witness),
+                    },
+                )
+                if self.store is not None:
+                    # A base plus its journal: several deletes, off the loop
+                    # like save and load.
+                    await asyncio.to_thread(self.store.discard, session_id)
+            finally:
+                discarded.set_result(None)
+                if self._discards.get(session_id) is discarded:
+                    del self._discards[session_id]
             self._completed += 1
             if self.max_sessions is not None and self._completed >= self.max_sessions:
                 self._stop_event.set()

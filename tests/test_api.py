@@ -184,7 +184,7 @@ class TestVerifyTraceEngineDelegation:
         ops.extend(exactly_k_atomic_history(2, 4, key="lagging").operations)
         return MultiHistory(ops)
 
-    @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("executor", ["serial", "processes"])
     def test_parallel_executors_match_serial(self, executor):
         trace = self._trace()
         expected = {key: bool(r) for key, r in verify_trace(trace, 2).items()}

@@ -121,7 +121,7 @@ class TestEngineFlags:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["verify", "t.jsonl", "--engine", "gpu"])
 
-    @pytest.mark.parametrize("engine", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("engine", ["serial", "processes"])
     def test_engines_agree_on_verdicts(self, trace_path, engine):
         out = io.StringIO()
         status = main(
@@ -134,10 +134,10 @@ class TestEngineFlags:
     def test_parallel_run_prints_engine_summary(self, trace_path):
         out = io.StringIO()
         main(
-            ["verify", str(trace_path), "--k", "2", "--engine", "threads", "--jobs", "2"],
+            ["verify", str(trace_path), "--k", "2", "--engine", "processes", "--jobs", "2"],
             out=out,
         )
-        assert "shards via threads" in out.getvalue()
+        assert "shards via processes" in out.getvalue()
 
     def test_partitioner_flag_accepted(self, trace_path):
         out = io.StringIO()
@@ -245,7 +245,7 @@ class TestServeAndRemote:
                 "127.0.0.1:1",
                 "--online",
                 "--engine",
-                "threads",
+                "processes",
             ],
             out=out,
         )

@@ -78,7 +78,7 @@ class TestVerdictParity:
             lbt = verify(normalized, 2, algorithm="lbt", preprocess=False)
             assert bool(fzf) == bool(lbt), history.key
 
-    @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("executor", ["serial", "processes"])
     def test_executor_parity(self, executor):
         trace = synthetic_trace(
             random.Random(7), 6, 150, staleness_probability=0.2, max_staleness=2
@@ -122,7 +122,7 @@ class TestVerdictParity:
             obj_res = verify(history, 2, algorithm="fzf", kernel="object")
             assert np_res.stats == obj_res.stats, seed
 
-    @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("executor", ["serial", "processes"])
     def test_numpy_kernel_through_engine(self, executor):
         trace = synthetic_trace(
             random.Random(9), 6, 150, staleness_probability=0.2, max_staleness=2

@@ -36,7 +36,7 @@ from repro.workloads.synthetic import (
 )
 from tests.conftest import result_fields
 
-EXECUTORS = ["serial", "threads", "processes"]
+EXECUTORS = ["serial", "processes"]
 KS = [1, 2, 3]
 
 
@@ -140,13 +140,7 @@ PARITY_VARIANTS = [
     (keyless_history, 2, {}),
     (in_flight_read_trace, 1, {}),
     (in_flight_read_trace, 2, {}),
-    (in_flight_read_trace, 3, {"tier": "screen"}),
     (synthetic_many_register_trace, 2, {"algorithm": "lbt"}),
-    (synthetic_many_register_trace, 2, {"tier": "auto"}),
-    (synthetic_many_register_trace, 3, {"tier": "auto"}),
-    (synthetic_many_register_trace, 2, {"tier": "screen"}),
-    (mixed_staleness_trace, 3, {"tier": "screen"}),
-    (coarse_clock_trace, 2, {"tier": "auto"}),
 ]
 
 
@@ -191,8 +185,6 @@ class TestExecutorParity:
             assert list(report.results) == list(serial.results), case
             for key, expected in serial.results.items():
                 assert result_fields(report.results[key]) == result_fields(expected), (case, key)
-            assert report.tier_stats == serial.tier_stats, case
-            assert report.tier_decisions == serial.tier_decisions, case
             if not options:
                 keyed = trace if isinstance(trace, MultiHistory) else {None: trace}
                 for key in serial.results:
@@ -214,7 +206,7 @@ class TestExecutorParity:
 
     def test_results_preserve_trace_key_order(self):
         trace = synthetic_many_register_trace()
-        report = Engine(executor="threads", jobs=3).verify_trace(trace, 2)
+        report = Engine(executor="processes", jobs=3).verify_trace(trace, 2)
         assert list(report.results) == list(trace.keys())
 
 
@@ -372,8 +364,21 @@ class TestEngineConfig:
     def test_serial_defaults_to_one_job(self):
         assert Engine().jobs == 1
 
+    def test_threads_executor_is_refused_by_name(self):
+        with pytest.raises(
+            VerificationError,
+            match="unknown executor 'threads'; available: processes, serial",
+        ):
+            get_executor("threads")
+        with pytest.raises(VerificationError, match="available: processes, serial"):
+            Engine(executor="threads")
+
+    def test_engine_has_no_tier(self):
+        with pytest.raises(TypeError):
+            Engine(tier="screen")
+
     def test_plan_caps_shards_at_register_count(self):
         trace = single_register_trace()
-        engine = Engine(executor="threads", jobs=8)
+        engine = Engine(executor="processes", jobs=8)
         registers = engine._as_register_histories(trace)
         assert len(engine.plan(registers, 2)) == 1

@@ -162,7 +162,7 @@ class TestSpec:
     def test_canned_runtime_spec_parses(self):
         spec = load_spec(CANNED_SPECS / "runtime_scaling.toml")
         assert spec.kind == "runtime"
-        assert len(spec.engines) == 6
+        assert len(spec.engines) == 5
 
 
 # ----------------------------------------------------------------------

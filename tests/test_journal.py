@@ -431,8 +431,8 @@ async def wait_released(server, session_id, timeout_s=10.0):
     """Poll until the server has closed ``session_id``'s connection.
 
     The ``report`` frame goes out before the server discards the finished
-    session's checkpoint and releases its id, so a client may hold the
-    report while the id is still taken.
+    session's checkpoint, so a client may hold the report while the
+    discard still runs.
     """
     deadline = time.monotonic() + timeout_s
     while any(
@@ -483,6 +483,47 @@ def unreadable_checkpoints_scenario(tmp_path, workers):
                 report = await client.finish()
                 assert report.ops == len(stream), name
                 await wait_released(server, "bad")
+        finally:
+            await server.stop()
+
+    asyncio.run(scenario())
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_reused_id_opens_right_after_the_report(tmp_path, monkeypatch, workers):
+    """An ended session frees its id with the report, not after the discard.
+
+    The reuse waits for the old checkpoint discard instead of failing with
+    ``SessionBusy``, so the discard cannot delete the new session's first
+    checkpoint either.
+    """
+    discard = CheckpointStore.discard
+
+    def delayed_discard(self, session_id):
+        time.sleep(0.2)
+        return discard(self, session_id)
+
+    monkeypatch.setattr(CheckpointStore, "discard", delayed_discard)
+    _trace, stream = make_trace_ops(random.Random(TEST_SEED + 98), registers=2, ops=8)
+
+    async def scenario():
+        server = AuditServer(checkpoint_dir=tmp_path, workers=workers)
+        await server.start()
+        address = server.addresses[0]
+        try:
+            first = await AuditClient.connect(address, session="reuse", k=2, window=4)
+            await first.feed_ops(stream)
+            await first.checkpoint()
+            await first.finish()
+            second = await AuditClient.connect(address, session="reuse", k=2, window=4)
+            await second.feed_ops(stream[:4])
+            await second.checkpoint()
+            await asyncio.sleep(0.3)  # past any discard still in flight
+            assert server.store.load("reuse")["stream"]["ops_fed"] == 4
+            report = await second.finish()
+            assert report.ops == 4
+            await wait_released(server, "reuse")
+            assert "reuse" not in server.store
         finally:
             await server.stop()
 

@@ -14,10 +14,10 @@ object-model vs columnar kernels, and batch vs incremental (online)
 checkers — so these tests simultaneously pin the symmetry property and
 cross-validate the independent implementations against each other.
 
-The adaptive tier ladder rides the same symmetries: its escalation
+The streaming tier screen rides the same symmetries: its escalation
 *decisions* are computed from transform-invariant trigger features
-(anomaly score, value lag, overlap density), so the tiered route — not
-just the verdict — must be identical before and after every transform.
+(anomalous reads, value lag, overlap density), so the check/peek route —
+not just the verdict — must be identical before and after every transform.
 """
 
 from __future__ import annotations
@@ -210,52 +210,80 @@ def test_minimal_k_invariant_under_time_symmetries():
 
 
 # ----------------------------------------------------------------------
-# Tier-ladder invariance: decisions and verdicts survive the symmetries
+# Streaming tier invariance: routes and verdicts survive the symmetries
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("transform", TRANSFORMS)
+#: Per-operation twins of ``TRANSFORMS`` plus a register rename, applied to
+#: a stream in place so the arrival order (and hence every window's
+#: contents) is the same on both sides.
+STREAM_TRANSFORMS = [
+    pytest.param(lambda op: op.with_times(op.start + 1234.5, op.finish + 1234.5), id="time-shift"),
+    pytest.param(lambda op: op.with_times(op.start - 7.25, op.finish - 7.25), id="time-shift-negative"),
+    pytest.param(lambda op: op.with_times(op.start * 3.0, op.finish * 3.0), id="time-scale-up"),
+    pytest.param(lambda op: op.with_times(op.start * 0.125, op.finish * 0.125), id="time-scale-down"),
+    pytest.param(lambda op: replace(op, client=f"client/{op.client!r}"), id="client-rename"),
+    pytest.param(lambda op: replace(op, value=("renamed", op.value)), id="value-rename"),
+    pytest.param(lambda op: replace(op, key=("renamed", op.key)), id="key-rename"),
+]
+
+
+def _completion_order(ops):
+    return sorted(ops, key=lambda op: (op.finish, op.op_id))
+
+
+@pytest.mark.parametrize("transform", STREAM_TRANSFORMS)
 def test_tier_features_invariant_under_transform(transform):
-    """The trigger features that gate escalation are symmetry-invariant.
+    """``TierStreamState.decide`` gives the same ``check``/``peek`` modes and
+    triggers, window by window, before and after every symmetry."""
+    from repro.engine.tiering import TierStreamState, get_tier_policy
 
-    ``op_rate`` and ``duration`` legitimately change under time scaling —
-    they only feed verdict-neutral knob picks (kernel, window size) — so
-    the invariance claim covers exactly the fields ``gate_triggers`` reads.
-    """
-    from repro.engine.tiering import TraceFeatures, get_tier_policy
-
-    policy = get_tier_policy("auto")
     rng = random.Random(TEST_SEED + 5)
-    for case, history in enumerate(sample_histories(rng)):
-        before = TraceFeatures.from_history(history)
-        after = TraceFeatures.from_history(transform(history))
-        context = f"case {case} under {transform} (seed {TEST_SEED:#x})"
-        assert before.anomaly_score == after.anomaly_score, context
-        assert before.max_value_lag == after.max_value_lag, context
-        assert before.overlap_density == pytest.approx(
-            after.overlap_density
-        ), context
-        for k in (1, 2, 3):
-            assert policy.gate_triggers(before, k) == policy.gate_triggers(
-                after, k
-            ), f"{context}: escalation decision changed at k={k}"
+    streams = [history.operations for history in sample_histories(rng)]
+    trace = synthetic_trace(rng, 3, 40, staleness_probability=0.2, max_staleness=2)
+    streams.append([op for key in trace.keys() for op in trace[key].operations])
+
+    def routes(stream, tier, k):
+        state = TierStreamState(get_tier_policy(tier), k)
+        decided = []
+        for start in range(0, len(stream), 6):
+            by_key = {}
+            for op in stream[start : start + 6]:
+                by_key.setdefault(op.key, []).append(op)
+            decided.extend(state.decide(key, ops) for key, ops in by_key.items())
+        return decided
+
+    seen = set()
+    for case, ops in enumerate(streams):
+        stream = _completion_order(ops)
+        moved = [transform(op) for op in stream]
+        for tier in ("screen", "auto"):
+            for k in (1, 2):
+                before = routes(stream, tier, k)
+                assert before == routes(moved, tier, k), (
+                    f"case {case}: tier={tier} routes changed at k={k} under "
+                    f"{transform} (seed {TEST_SEED:#x})"
+                )
+                seen.update(mode for mode, _ in before)
+    assert seen == {"check", "peek"}, "the streams never exercised both routes"
 
 
 @pytest.mark.parametrize("transform", TRANSFORMS)
 @pytest.mark.parametrize("tier", ["screen", "auto"])
 @pytest.mark.parametrize("k", [1, 2])
 def test_tiered_verdict_invariant_under_transform(transform, tier, k):
-    """The tiered route agrees with the untiered paths on both sides of
-    every symmetry — verdicts never depend on which rung answered."""
-    from repro.engine.tiering import get_tier_policy
+    """A tiered rolling stream's final verdict agrees with the untiered
+    paths on both sides of every symmetry."""
+    from repro.core.windows import WindowPolicy
+    from repro.engine import StreamingEngine
 
-    policy = get_tier_policy(tier)
+    engine = StreamingEngine(window=WindowPolicy.count(3), tier=tier)
     rng = random.Random(TEST_SEED + 6)
     for case, history in enumerate(sample_histories(rng)):
         for h in (history, transform(history)):
             expected = verdicts_all_paths(h, k)
-            tiered, decision = policy.verify_with_decision(h, k, key="m")
-            assert bool(tiered) == expected, (
-                f"case {case}: tier={tier} via {decision.tier!r} diverges "
-                f"at k={k} under {transform} (seed {TEST_SEED:#x})"
+            report = engine.verify_stream(_completion_order(h.operations), k)
+            assert report.is_k_atomic == expected, (
+                f"case {case}: tier={tier} stream diverges at k={k} under "
+                f"{transform} (seed {TEST_SEED:#x})"
             )
 
 

@@ -232,7 +232,7 @@ class TestLazyLoading:
 
 
 class TestEngineAndCLI:
-    @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("executor", ["serial", "processes"])
     def test_verify_file_matches_jsonl_path(self, tmp_path, executor):
         trace = synthetic_trace(
             random.Random(5), 5, 120, staleness_probability=0.2, max_staleness=2

@@ -34,6 +34,11 @@ class TestConfiguration:
         with pytest.raises(VerificationError):
             StreamingEngine(executor="processes")
 
+    def test_rolling_refuses_jobs(self):
+        with pytest.raises(VerificationError, match="windowed"):
+            StreamingEngine(jobs=2)
+        assert StreamingEngine(jobs=1).jobs == 1
+
     def test_windowed_accepts_process_executor(self):
         engine = StreamingEngine(mode="windowed", executor="processes", jobs=2)
         assert engine.executor.name == "processes"
@@ -67,16 +72,6 @@ class TestRollingMode:
         assert [w.stats.index for w in calls] == [
             w.stats.index for w in report.timeline
         ]
-
-    def test_thread_executor_matches_serial(self, small_trace):
-        ops = trace_stream(small_trace)
-        serial = StreamingEngine(window=WindowPolicy.count(25)).verify_stream(ops, 2)
-        threaded = StreamingEngine(
-            window=WindowPolicy.count(25), executor="threads", jobs=4
-        ).verify_stream(ops, 2)
-        assert {k: bool(v) for k, v in serial.results.items()} == {
-            k: bool(v) for k, v in threaded.results.items()
-        }
 
     def test_peek_windows_match_exact_final_verdicts(self, small_trace):
         ops = trace_stream(small_trace)
