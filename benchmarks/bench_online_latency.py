@@ -10,7 +10,12 @@ benchmark quantifies that trade on a 64-register synthetic trace:
   this is the latency budget a live audit adds to each completed operation;
 * **window-flush latency** — wall-clock cost of closing one window in the
   streaming engine (rolling and windowed modes): how long the operator waits
-  between an operation arriving and its window's verdict block appearing.
+  between an operation arriving and its window's verdict block appearing;
+* **growing k = 2 checks** — the cost of one ``check_now`` on a single
+  256- and 4,096-op register streamed with a check every 16 operations.
+  A check should cost what the new operations cost, so the last quarter's
+  mean check should sit at the first quarter's.  This is a record only;
+  no gate reads it.
 
 Every register's final result from the per-op, rolling and peek arms is
 cross-checked field for field (verdict, algorithm, reason, stats, and the
@@ -65,12 +70,16 @@ from repro.analysis.report import format_table
 from repro.core.api import verify
 from repro.core.windows import WindowPolicy
 from repro.engine import Engine, StreamingEngine
-from repro.workloads.synthetic import synthetic_trace
+from repro.workloads.synthetic import practical_history, synthetic_trace
 
 
 #: ``--check`` bound on the rolling (check-per-window) total / batch total:
 #: about twice the 10-11x measured on the CI shape.
 ROLLING_MAX_SLOWDOWN = 20.0
+#: Register lengths of the growing-check record.
+GROWING_SIZES = (256, 4096)
+#: Operations between two growing checks.
+GROWING_CHECK_EVERY = 16
 
 
 def completion_order(trace):
@@ -157,6 +166,41 @@ def bench_streaming(ops, k, *, mode, window, check_per_window=True):
     return end - t0, end - last_window[-1], flush_ms, report
 
 
+def bench_growing_checks(size, seed, repeat):
+    """Per-check µs of one ``size``-op register's growing k = 2 re-check.
+
+    The register streams in completion order and ``check_now`` runs every
+    ``GROWING_CHECK_EVERY`` operations (cadence checks are switched off);
+    of ``repeat`` passes the one with the smallest total is kept.  The final
+    result must equal batch LBT, witness included.
+    """
+    history = practical_history(random.Random(seed), size, staleness_probability=0.0)
+    ops = sorted(history.operations, key=lambda op: (op.finish, op.op_id))
+    expected = result_fields(verify(history, 2, algorithm="lbt", preprocess=True))
+    best = None
+    for _ in range(repeat):
+        checker = checker_for(2, check_interval=len(ops) + 1)
+        costs_us = []
+        for i, op in enumerate(ops, start=1):
+            checker.feed(op)
+            if i % GROWING_CHECK_EVERY == 0:
+                t0 = time.perf_counter()
+                checker.check_now()
+                costs_us.append((time.perf_counter() - t0) * 1e6)
+        assert result_fields(checker.finish()) == expected, (
+            f"growing checks: {size}-op register final differs from batch"
+        )
+        if best is None or sum(costs_us) < sum(best):
+            best = costs_us
+    quarter = max(1, len(best) // 4)
+    return {
+        "checks": len(best),
+        "p50_us": round(percentile(best, 0.50), 2),
+        "first_quarter_mean_us": round(statistics.fmean(best[:quarter]), 2),
+        "last_quarter_mean_us": round(statistics.fmean(best[-quarter:]), 2),
+    }
+
+
 def run(num_registers=64, ops_per_register=300, k=2, window_size=256, repeat=3,
         seed=0, json_path=None, check=False, check_max_slowdown=15.0,
         out=sys.stdout):
@@ -198,6 +242,9 @@ def run(num_registers=64, ops_per_register=300, k=2, window_size=256, repeat=3,
     windowed_s, _, windowed_flush_ms, _ = bench_streaming(
         ops, k, mode="windowed", window=window
     )
+    growing = {
+        str(size): bench_growing_checks(size, seed, repeat) for size in GROWING_SIZES
+    }
 
     rows = [
         ["batch engine (serial)", f"{batch_s:.3f}", "-", "-", "-"],
@@ -265,6 +312,29 @@ def run(num_registers=64, ops_per_register=300, k=2, window_size=256, repeat=3,
         ),
         file=out,
     )
+    print("", file=out)
+    print(
+        format_table(
+            [
+                f"growing k=2 check (every {GROWING_CHECK_EVERY} ops)",
+                "checks",
+                "p50 (µs)",
+                "first quarter mean (µs)",
+                "last quarter mean (µs)",
+            ],
+            [
+                [
+                    f"{size}-op register",
+                    row["checks"],
+                    f"{row['p50_us']:.1f}",
+                    f"{row['first_quarter_mean_us']:.1f}",
+                    f"{row['last_quarter_mean_us']:.1f}",
+                ]
+                for size, row in growing.items()
+            ],
+        ),
+        file=out,
+    )
     slowdown = feed_total_s / batch_s if batch_s > 0 else float("inf")
     print(
         f"\nincremental total / batch total = {slowdown:.2f}x "
@@ -309,6 +379,7 @@ def run(num_registers=64, ops_per_register=300, k=2, window_size=256, repeat=3,
             "mean_flush_ms": round(statistics.fmean(windowed_flush_ms), 4),
             "max_flush_ms": round(max(windowed_flush_ms), 4),
         },
+        "growing_check": growing,
     }
     if json_path:
         Path(json_path).parent.mkdir(parents=True, exist_ok=True)

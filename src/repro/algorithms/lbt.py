@@ -19,7 +19,7 @@ This module provides two interchangeable implementations:
   the Theorem 3.2 proof, using linked-list removal with an undo log and
   iterative-deepening candidate exploration.  A growing :class:`LBTChecker`
   re-verifies a stream's prefix as it grows, re-running only the epochs the
-  new operations reach.
+  new operations reach, and builds its witness only on request.
 
 Both produce an explicit witness total order on YES.
 """
@@ -177,8 +177,6 @@ class _LinkedList:
 
     def remove(self, i: int) -> None:
         """Unlink node ``i`` and record the removal."""
-        if self.removed[i]:
-            return
         self.detach(i)
         self.removed[i] = True
         self.log.append(i)
@@ -232,14 +230,6 @@ class _LinkedList:
         else:
             self.tail = p
 
-    def mark(self) -> int:
-        """Return the current undo-log position."""
-        return len(self.log)
-
-    def is_empty(self) -> bool:
-        """True iff every node has been removed."""
-        return self.head == -1
-
 
 class LBTChecker:
     """Efficient LBT with linked-list removal and iterative deepening.
@@ -255,14 +245,16 @@ class LBTChecker:
       attempt is aborted;
     * candidates of an epoch are explored with iterative deepening (budget
       doubling), so the cost of an epoch is O(c · t) where ``t`` is the cost
-      of the cheapest successful candidate.
+      of the cheapest successful candidate.  A lone alive candidate runs
+      unbudgeted: it is the only possible success, and its epoch is the one
+      deepening would reach.
 
     Built without a history the checker *grows*: :meth:`add` and
     :meth:`replace` feed it a normalised prefix one operation at a time, and
     :meth:`verify` may run after any of them.  This is the incremental 2-AV
     checker's re-check; the epoch-boundary ledger described under
     :meth:`verify` makes each re-check cost about what the new operations
-    cost.
+    cost; its verdicts carry no witness (:meth:`witness` builds one).
     """
 
     def __init__(self, history: Optional[History] = None, *, kernel: Optional[str] = None):
@@ -346,7 +338,7 @@ class LBTChecker:
 
     def _forget_run(self) -> None:
         """Drop the epoch-boundary ledger: the next run starts from scratch."""
-        self._witness: List[Operation] = []
+        self._ledger: List[int] = []  # the witness order, as H indices
         self._starts: List[int] = [0]
         self._before: List[Tuple[int, int, int]] = [(0, 0, 0)]
         self._front: List[int] = [-1] * len(self.ops)
@@ -434,10 +426,6 @@ class LBTChecker:
             i = w_prev[i]
         return candidates
 
-    def _candidates(self) -> List[Operation]:
-        """The epoch-candidate writes (object view of :meth:`_candidate_indices`)."""
-        return [self.writes[i] for i in self._candidate_indices()]
-
     # ------------------------------------------------------------------
     def _run_epoch(
         self, first_w: int, budget: Optional[int]
@@ -451,8 +439,8 @@ class LBTChecker:
         the undo-log positions of H and W before the attempt, so the caller
         can revert.
         """
-        h_mark = self.H.mark()
-        w_mark = self.W.mark()
+        h_mark = len(self.H.log)
+        w_mark = len(self.W.log)
         segments: List[List[int]] = []
         steps = 0
         wi = first_w
@@ -469,7 +457,6 @@ class LBTChecker:
             # Operations starting after w.finish form a suffix of H (sorted
             # by start time): walk backwards from the tail.
             i = self.H.tail
-            to_remove: List[int] = []
             while i != -1 and h_starts[i] > w_finish:
                 if h_is_write[i]:
                     if i != w_h:
@@ -481,12 +468,11 @@ class LBTChecker:
                             return "fail", segments, (h_mark, w_mark)
                         w_next = dw
                     container.append(i)
-                    to_remove.append(i)
                 i = h_prev[i]
                 steps += 1
                 if budget is not None and steps > budget:
                     return "budget", segments, (h_mark, w_mark)
-            for idx in to_remove:
+            for idx in container:
                 self.H.remove(idx)
             # Remaining dictated reads of w, then w itself.
             for idx in self.dictated_of_w[wi]:
@@ -507,34 +493,34 @@ class LBTChecker:
 
     # ------------------------------------------------------------------
     def verify(self) -> VerificationResult:
-        """Run LBT to completion and return the verdict with a witness.
+        """Run LBT to completion and return the verdict (with a witness in batch).
 
         A growing checker (built with no history, fed by :meth:`add` and
         :meth:`replace`) re-verifies its whole prefix on every call, but
         keeps an *epoch-boundary ledger* of its previous YES run: the
-        witness, where each epoch starts in it, the cumulative stats at each
-        boundary, and the epoch every operation was placed in.  Every epoch
-        places whole clusters (a read lands in its dictating write's epoch),
-        and from a given set of remaining operations the rest of the run is
-        determined by that set alone.  So once this run has placed every
-        operation added or re-normalised since the previous run, and the old
-        operations it placed are exactly the previous run's first ``j``
-        epochs, the remaining set — and hence the rest of the run — equals
-        the previous run's after ``j`` epochs: its witness front and stats
-        delta are spliced in instead of being recomputed.  The result equals
-        a fresh batch run's field for field.
+        witness order as H indices, where each epoch starts in it, the
+        cumulative stats at each boundary, and the epoch every operation was
+        placed in.  Every epoch places whole clusters (a read lands in its
+        dictating write's epoch), and from a given set of remaining
+        operations the rest of the run is determined by that set alone.  So
+        once this run has placed every operation added or re-normalised since
+        the previous run, and the old operations it placed are exactly the
+        previous run's first ``j`` epochs, the rest of the run equals the
+        previous run's after ``j`` epochs: that ledger front and stats delta
+        are kept.  Verdict, reason and stats equal a fresh batch run's; the
+        YES carries no witness, so a check never costs O(prefix).
         """
         history = self.history
         growing = history is None
         if growing:
             if not self.ops:
-                return VerificationResult.yes(2, _ALGORITHM, witness=())
+                return VerificationResult.yes(2, _ALGORITHM)
             self.stats = {"epochs": 0, "candidates_tried": 0, "deepening_rounds": 0}
             front, dirty, starts = self._front, self._dirty, self._starts
             boundary = len(starts) - 1  # earliest previous-run epoch re-placed
             dirty_left = len(dirty)
             old_placed = 0
-            old_total = len(self._witness)
+            old_total = len(self._ledger)
             deltas: List[Tuple[int, int, int]] = []
         elif history.is_empty:
             return VerificationResult.yes(2, _ALGORITHM, witness=())
@@ -544,7 +530,7 @@ class LBTChecker:
             )
         stats = self.stats
         epochs: List[List[int]] = []  # in placement order: latest first
-        while not self.H.is_empty():
+        while self.H.head != -1:
             tried, rounds = stats["candidates_tried"], stats["deepening_rounds"]
             stats["epochs"] += 1
             candidates = self._candidate_indices()
@@ -592,23 +578,24 @@ class LBTChecker:
         """Close a growing run on the previous run's epochs before ``boundary``.
 
         Those epochs keep their ledger entries (numbered from the witness
-        front); this run's epochs take the numbers from ``boundary`` on.
+        front); the ledger is cut back to them in place, and this run's
+        epochs take the numbers from ``boundary`` on.
         """
-        ops, front = self.ops, self._front
-        witness = self._witness[: self._starts[boundary]]
-        starts = self._starts[: boundary + 1]
-        before = self._before[: boundary + 1]
+        front = self._front
+        ledger, starts, before = self._ledger, self._starts, self._before
+        del ledger[starts[boundary] :]
+        del starts[boundary + 1 :]
+        del before[boundary + 1 :]
         for number, (epoch, delta) in enumerate(
             zip(reversed(epochs), reversed(deltas)), start=boundary
         ):
             for h in epoch:
                 front[h] = number
-            witness.extend([ops[h] for h in epoch])
-            starts.append(len(witness))
+            ledger.extend(epoch)
+            starts.append(len(ledger))
             e, c, r = before[-1]
             before.append((e + delta[0], c + delta[1], r + delta[2]))
-        self._witness, self._starts, self._before = witness, starts, before
-        self._dirty = set()
+        self._dirty.clear()
         self._end_run()
         epochs_run, tried, rounds = before[-1]
         self.stats = {
@@ -616,7 +603,18 @@ class LBTChecker:
             "candidates_tried": tried,
             "deepening_rounds": rounds,
         }
-        return VerificationResult.yes(2, _ALGORITHM, witness=witness, stats=self.stats)
+        return VerificationResult.yes(2, _ALGORITHM, stats=self.stats)
+
+    def witness(self) -> Optional[Tuple[Operation, ...]]:
+        """A growing checker's witness for its prefix, or ``None`` on NO.
+
+        Built from the ledger with the current (possibly shortened) ``ops``;
+        a stale or empty ledger is brought up to date by one :meth:`verify`.
+        """
+        if self._dirty and not self.verify():
+            return None
+        ops = self.ops
+        return tuple([ops[h] for h in self._ledger])
 
     def _end_run(self) -> None:
         """Put every removed node back, ready for more :meth:`add` calls."""
@@ -635,10 +633,11 @@ class LBTChecker:
         budget = 4
         while alive:
             self.stats["deepening_rounds"] += 1
+            limit = None if len(alive) == 1 else budget
             survivors: List[int] = []
             for candidate in alive:
                 self.stats["candidates_tried"] += 1
-                outcome, segments, (h_mark, w_mark) = self._run_epoch(candidate, budget)
+                outcome, segments, (h_mark, w_mark) = self._run_epoch(candidate, limit)
                 if outcome == "success":
                     return segments
                 # Revert this attempt.

@@ -28,6 +28,7 @@ is *identical* to its batch counterpart's by construction — a NO latched
 mid-stream included: operations keep being buffered after the latch, so the
 final reason is the whole stream's, not the latched prefix's.  (With no read
 pending, :class:`IncrementalLBTChecker` finishes from its batch-equal re-check.)
+Mid-stream verdicts never carry a witness (an O(prefix) order); finish does.
 
 Three cost controls keep the per-operation work low:
 
@@ -45,9 +46,9 @@ Three cost controls keep the per-operation work low:
   epochs, and consecutive checks of a stream share all but the last few.
   :class:`IncrementalLBTChecker` keeps the normalised prefix and a growing
   :class:`~repro.algorithms.lbt.LBTChecker` across checks, re-runs only the
-  epochs the new operations reach and splices the rest from the previous
-  run, so a re-check — a check per window included — costs about what the
-  new operations cost, and still equals batch LBT field for field.
+  epochs the new operations reach and keeps the rest of the previous run's
+  ledger, so a re-check — a check per window included — costs about what
+  the new operations cost, and still equals batch LBT field for field.
 
 Memory is O(n) — the buffer must be retained for exact batch parity.  The
 bounded-memory alternative is the *windowed* mode of
@@ -69,6 +70,7 @@ from __future__ import annotations
 import bisect
 import math
 from abc import ABC, abstractmethod
+from dataclasses import replace
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from ..core.errors import DuplicateValueError, HistoryError, VerificationError
@@ -109,8 +111,8 @@ class Checker(ABC):
 
     ``feed`` returns a verdict only when the checker actually (re)checked on
     that operation; ``check_now`` forces a verdict at any point (the streaming
-    engine calls it at window boundaries).  ``reset`` returns the checker to
-    its initial state for reuse.
+    engine calls it at window boundaries); neither carries a witness.
+    ``reset`` returns the checker to its initial state for reuse.
     """
 
     #: The staleness bound this checker decides.
@@ -444,6 +446,8 @@ class RecheckChecker(Checker):
     def _run_check(self) -> StreamVerdict:
         self._checks_run += 1
         result = self._verify_resolved()
+        if result.witness is not None:  # O(prefix); only finish() hands one out
+            result = replace(result, witness=None)
         verdict = StreamVerdict(
             result=result, ops_seen=self._ops_seen, final=not result
         )
@@ -629,17 +633,18 @@ class IncrementalLBTChecker(RecheckChecker):
       place;
     * **epoch splicing** — the growing checker re-runs LBT only until the
       new operations are placed and the placed old ones line up with an
-      epoch boundary of its previous run, then splices that run's witness
-      front and stats (see :meth:`LBTChecker.verify`).
+      epoch boundary of its previous run, then keeps that run's ledger front
+      and stats (see :meth:`LBTChecker.verify`).
 
     Each re-check therefore equals ``verify(History(prefix), 2,
-    algorithm="lbt", preprocess=True)`` field for field, at a cost that
+    algorithm="lbt", preprocess=True)`` but for the witness, at a cost that
     tracks the new operations rather than the prefix.  Ties, an anomaly, or
     any other delegate send checks down the batch path, as does
     :meth:`finish` with reads pending; with none it finishes from the growing
-    checker.  The admission state is derived data: snapshots never carry it,
-    and :meth:`restore` rebuilds it from the buffer.  NO verdicts latch and
-    are final; the finished verdict equals batch LBT exactly.
+    checker and its ledger's witness.  The admission state is derived data:
+    snapshots never carry it, and :meth:`restore` rebuilds it from the
+    buffer.  NO verdicts latch and are final; the finished verdict equals
+    batch LBT exactly.
     """
 
     def __init__(
@@ -714,11 +719,15 @@ class IncrementalLBTChecker(RecheckChecker):
         """End the stream; the verdict equals batch LBT's on the stream.
 
         With nothing pending the resolved prefix is the stream, so the live
-        growing checker's verdict (cached, or one more check) is batch's.
+        growing checker's verdict (cached, or one more check) and witness are
+        batch's.  A restored checker's ledger starts empty even when its
+        verdict is cached; ``witness()`` then re-runs the check.
         """
         if self._lbt is None or self._pending:
             return super().finish()
         result = self.check_now().result
+        if result:
+            result = replace(result, witness=self._lbt.witness())
         self._finished = True
         self._last_verdict = StreamVerdict(
             result=result, ops_seen=self._ops_seen, final=True

@@ -223,12 +223,15 @@ class StreamingEngine:
         #: long-running ``repro watch`` sessions hold a bounded working set.
         self.state_store = state_store
         self.retain_windows = retain_windows
-        self._batch_engine = Engine(
-            executor=self.executor,
-            jobs=self.jobs,
-            algorithm=algorithm,
-            max_exact_ops=max_exact_ops,
-        )
+        #: Only windowed mode verifies its windows with the batch engine.
+        self._batch_engine: Optional[Engine] = None
+        if mode == "windowed":
+            self._batch_engine = Engine(
+                executor=self.executor,
+                jobs=self.jobs,
+                algorithm=algorithm,
+                max_exact_ops=max_exact_ops,
+            )
 
     # ------------------------------------------------------------------
     def _new_timeline(self) -> TimelineRetention:

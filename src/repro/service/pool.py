@@ -53,7 +53,6 @@ import pickle
 import signal
 import threading
 import time
-from dataclasses import replace
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..analysis.report import (
@@ -194,16 +193,6 @@ def _worker_main(conn, worker_id: int) -> None:
                     verdict = checker.peek()
                 else:  # "none": replay path, no verdict needed
                     verdict = None
-                if verdict is not None and verdict.result.witness is not None:
-                    # A witness is a total order over the register's whole
-                    # history — O(n) per window, O(n^2) over a stream if it
-                    # crossed the pipe every close.  Mid-stream verdicts never
-                    # reach clients with witnesses anyway (the session
-                    # protocol sends them only in the final report, which
-                    # finish() ships complete), so strip here.
-                    verdict = replace(
-                        verdict, result=replace(verdict.result, witness=None)
-                    )
                 replies.append(
                     (verdict, checker.snapshot() if want_snapshot else None)
                 )

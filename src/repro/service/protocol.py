@@ -216,7 +216,7 @@ def result_from_dict(record: Dict) -> VerificationResult:
 
 
 def verdict_to_dict(verdict: StreamVerdict) -> Dict:
-    """Serialise a mid-stream :class:`StreamVerdict` (witness never included)."""
+    """Serialise a mid-stream :class:`StreamVerdict` (checkers emit them witness-free)."""
     record = result_to_dict(verdict.result)
     record["ops_seen"] = verdict.ops_seen
     record["final"] = verdict.final

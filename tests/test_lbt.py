@@ -1,5 +1,7 @@
 """Unit tests for the LBT 2-AV algorithm (Section III, Figure 2)."""
 
+import random
+
 import pytest
 
 from repro.algorithms.lbt import (
@@ -10,11 +12,19 @@ from repro.algorithms.lbt import (
 )
 from repro.core.history import History
 from repro.core.operation import read, write
+from repro.core.preprocess import has_anomalies, normalize
 from repro.workloads.adversarial import (
     concurrent_batch_history,
     non_2atomic_batch_history,
 )
-from repro.workloads.synthetic import exactly_k_atomic_history, serial_history
+from repro.workloads.synthetic import (
+    exactly_k_atomic_history,
+    practical_history,
+    random_history,
+    serial_history,
+)
+
+from tests.conftest import TEST_SEED, result_fields
 
 
 class TestAcceptance:
@@ -139,14 +149,14 @@ class TestEpochMechanics:
             ]
         )
         checker = LBTChecker(h)
-        candidates = checker._candidates()
+        candidates = [checker.writes[i] for i in checker._candidate_indices()]
         # "a" precedes both other writes, so it cannot be a candidate.
         assert {w.value for w in candidates} == {"b", "c"}
 
     def test_single_write_candidate(self):
         h = History([write("a", 0.0, 1.0), read("a", 2.0, 3.0)])
         checker = LBTChecker(h)
-        assert [w.value for w in checker._candidates()] == ["a"]
+        assert [checker.writes[i].value for i in checker._candidate_indices()] == ["a"]
 
     def test_rejection_reason_mentions_candidates(self, stale_by_two_history):
         result = verify_2atomic(stale_by_two_history)
@@ -203,3 +213,67 @@ class TestTrickyShapes:
                 ops.append(read(i - 2, t, t + 1.0))
                 t += 2.0
         assert not is_2atomic(History(ops))
+
+
+class _DeepeningChecker(LBTChecker):
+    """The reference: every alive candidate re-run at doubled budgets, a
+    lone one included (the deepening loop before the lone-candidate rule)."""
+
+    def _explore_candidates(self, candidates):
+        alive = list(candidates)
+        budget = 4
+        while alive:
+            self.stats["deepening_rounds"] += 1
+            survivors = []
+            for candidate in alive:
+                self.stats["candidates_tried"] += 1
+                outcome, segments, (h_mark, w_mark) = self._run_epoch(candidate, budget)
+                if outcome == "success":
+                    return segments
+                self.H.undo_to(h_mark)
+                self.W.undo_to(w_mark)
+                if outcome == "budget":
+                    survivors.append(candidate)
+            alive = survivors
+            budget *= 2
+        return None
+
+
+class TestLoneCandidate:
+    def fuzz_histories(self, rng):
+        for _ in range(400):
+            yield random_history(
+                rng, rng.randrange(1, 12), rng.randrange(0, 24), span=rng.choice([5.0, 20.0])
+            )
+        for _ in range(40):
+            yield practical_history(
+                rng, rng.randrange(20, 200), staleness_probability=0.1, max_staleness=2
+            )
+        for batches, writes in [(3, 3), (4, 4), (6, 5)]:
+            yield concurrent_batch_history(batches, writes)
+            yield non_2atomic_batch_history(batches, writes)
+
+    def test_fuzz_results_equal_the_deepening_reference(self):
+        rng = random.Random(TEST_SEED)
+        checked = nos = saved = 0
+        for history in self.fuzz_histories(rng):
+            if has_anomalies(history):
+                continue
+            history = normalize(history)
+            got = LBTChecker(history).verify()
+            want = _DeepeningChecker(history).verify()
+            fields, expected = result_fields(got), result_fields(want)
+            # verdict, k, algorithm, reason; then the witness, field by field
+            assert fields[:4] == expected[:4] and fields[5] == expected[5]
+            assert got.stats["epochs"] == want.stats["epochs"]
+            assert got.stats["candidates_tried"] <= want.stats["candidates_tried"]
+            checked += 1
+            nos += not got
+            saved += got.stats["candidates_tried"] < want.stats["candidates_tried"]
+        assert checked > 100 and nos > 10 and saved > 10
+
+    def test_a_serial_history_tries_one_candidate_per_epoch(self):
+        result = verify_2atomic(serial_history(40, 2))
+        stats = result.stats
+        assert result and stats["epochs"] == 40
+        assert stats["candidates_tried"] == stats["deepening_rounds"] == stats["epochs"]

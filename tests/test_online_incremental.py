@@ -4,9 +4,12 @@
 resolved prefix with a growing LBT that carries normalisation and epoch
 boundaries across checks.  Every verdict it emits must equal the batch call
 ``verify(History(prefix), 2, algorithm="lbt", preprocess=True)`` field for
-field: verdict, algorithm, reason, stats, and the witness's operation ids
-*and* times (operations compare equal by id alone, so a witness holding an
-un-shortened write would slip past ``==``).
+field, except that window verdicts carry no witness: verdict, algorithm,
+reason and stats.  After every check the growing checker's
+:meth:`~repro.algorithms.lbt.LBTChecker.witness` must equal batch's witness
+in operation ids *and* times (operations compare equal by id alone, so a
+witness holding an un-shortened write would slip past ``==``), and every
+``finish()`` must equal batch with its witness.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import asyncio
 import pickle
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -56,6 +60,20 @@ def batch_on_prefix(checker):
     return verify(prefix, 2, algorithm="lbt", preprocess=True)
 
 
+def assert_check_equals_batch(checker, verdict, where):
+    """A window verdict is batch's on the prefix minus the witness, and the
+    growing checker's ledger (when it is still live) builds batch's witness."""
+    expected = batch_on_prefix(checker)
+    assert signature(verdict.result) == signature(replace(expected, witness=None)), (
+        f"{where} differs from batch"
+    )
+    if checker._lbt is not None:
+        witness = checker._lbt.witness()
+        assert signature(replace(expected, witness=witness)) == signature(expected), (
+            f"witness after {where} differs from batch"
+        )
+
+
 def completion_order(ops):
     return sorted(ops, key=lambda op: (op.finish, op.op_id))
 
@@ -73,17 +91,13 @@ def drive(checker, ops, *, check_every=1, stream=None):
         verdict = checker.feed(op)
         if verdict is not None:
             assert checker.checks_run == before + 1
-            assert signature(verdict.result) == signature(batch_on_prefix(checker)), (
-                f"cadence check after op {i} differs from batch"
-            )
+            assert_check_equals_batch(checker, verdict, f"cadence check after op {i}")
             compared += 1
         if check_every and i % check_every == 0:
             before = checker.checks_run
             verdict = checker.check_now()
             if checker.checks_run != before:
-                assert signature(verdict.result) == signature(
-                    batch_on_prefix(checker)
-                ), f"check_now after op {i} differs from batch"
+                assert_check_equals_batch(checker, verdict, f"check_now after op {i}")
                 compared += 1
     final = checker.finish()
     expected = verify(History(stream or ops), 2, algorithm="lbt", preprocess=True)
@@ -206,6 +220,7 @@ class TestDifferential:
             a, b = fast.feed(op), twin.feed(op)
             assert (a is None) == (b is None)
             if a is not None:
+                assert a.result.witness is None and b.result.witness is None
                 assert signature(a.result) == signature(b.result)
                 assert (a.ops_seen, a.final) == (b.ops_seen, b.final)
         assert signature(fast.finish()) == signature(twin.finish())
@@ -245,6 +260,38 @@ class TestSplice:
         late = splices[len(splices) // 2 :]
         assert late and all(total >= 10 for _, total in late)
         assert sum(run for run, _ in late) * 4 < sum(total for _, total in late)
+
+    def test_work_per_check_stays_flat(self, monkeypatch):
+        # A 4,096-op register checked every 16 ops: each check re-places the
+        # new operations and the few epochs they reach, so the removals the
+        # last checks log stay at the first checks' level (a re-run of the
+        # prefix would log ~100x more), and the ledger is cut back in place.
+        removals = []
+        original = lbt_module.LBTChecker._end_run
+
+        def spy(self):
+            removals.append(len(self.H.log))
+            original(self)
+
+        monkeypatch.setattr(lbt_module.LBTChecker, "_end_run", spy)
+        history = practical_history(
+            random.Random(TEST_SEED + 8), 4096, staleness_probability=0.0
+        )
+        ops = completion_order(history.operations)
+        checker = IncrementalLBTChecker(check_interval=16, cadence_growth=1.0)
+        ledger = None
+        for op in ops:
+            if checker.feed(op) is None:
+                continue
+            lbt = checker._lbt
+            lists = (lbt._ledger, lbt._starts, lbt._before)
+            if ledger is None:
+                ledger = lists
+            assert all(now is then for now, then in zip(lists, ledger))
+        assert checker._lbt is not None and len(removals) == len(ops) // 16
+        quarter = len(removals) // 4
+        assert sum(removals[-quarter:]) <= 1.5 * sum(removals[:quarter]), removals
+        assert len(checker._lbt._ledger) == len(ops)
 
     def test_snapshots_carry_no_derived_state(self):
         checker = IncrementalLBTChecker()
@@ -402,6 +449,23 @@ class TestFinish:
                 resumed.feed(op)
             assert finish_and_compare(resumed, ops, batch_calls) == 0, cut
         assert batch_calls == []
+
+    def test_finish_right_after_restore_carries_the_witness(self, batch_calls):
+        # Checked after every op, so each snapshot holds a clean cached YES
+        # while the restored growing checker's ledger is still empty.
+        ops = clean_stream(TEST_SEED + 124, n=60)
+        growing = 0
+        for cut in range(len(ops) + 1):
+            checker = IncrementalLBTChecker(check_interval=4)
+            for op in ops[:cut]:
+                checker.feed(op)
+                checker.check_now()
+            resumed = restore_checker(pickle.loads(pickle.dumps(checker.snapshot())))
+            on_growing_path = resumed._lbt is not None and not resumed.pending_reads
+            calls = finish_and_compare(resumed, ops[:cut], batch_calls)
+            assert calls == (0 if on_growing_path else 1), cut
+            growing += on_growing_path
+        assert growing > len(ops) // 2
 
     def test_read_whose_write_never_arrives(self, batch_calls):
         ops = [write("a", 0.0, 1.0), read("a", 2.0, 3.0), read("ghost", 4.0, 5.0)]

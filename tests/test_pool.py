@@ -48,14 +48,15 @@ def run_single_process(ops, config=CONFIG):
 
 
 def assert_window_parity(ref_windows, got_windows):
+    """Window verdicts equal field for field, and carry no witness."""
     assert len(ref_windows) == len(got_windows)
     for index, (ref, got) in enumerate(zip(ref_windows, got_windows)):
         assert list(ref.verdicts) == list(got.verdicts), f"window {index}"
         for key in ref.verdicts:
             a, b = ref.verdicts[key], got.verdicts[key]
-            assert (bool(a.result), a.final, a.ops_seen) == (
-                bool(b.result), b.final, b.ops_seen,
-            ), f"window {index} register {key!r}"
+            where = f"window {index} register {key!r}"
+            assert a.result.witness is None and b.result.witness is None, where
+            assert a == b, where  # verdict, reason, stats, ops_seen, final
 
 
 def assert_report_parity(ref_report, got_report):
@@ -165,6 +166,7 @@ def test_pooled_session_matches_single_process_exactly():
 
     windows, report = asyncio.run(scenario())
     assert_window_parity(ref_windows, windows)
+    assert_window_parity(ref_report.timeline, report.timeline)
     assert_report_parity(ref_report, report)
     # ...and the final verdicts equal batch verification, witness included.
     for key, result in batch.items():

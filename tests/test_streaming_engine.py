@@ -39,6 +39,10 @@ class TestConfiguration:
             StreamingEngine(jobs=2)
         assert StreamingEngine(jobs=1).jobs == 1
 
+    def test_only_windowed_mode_builds_a_batch_engine(self):
+        assert StreamingEngine(mode="rolling")._batch_engine is None
+        assert StreamingEngine(mode="windowed")._batch_engine is not None
+
     def test_windowed_accepts_process_executor(self):
         engine = StreamingEngine(mode="windowed", executor="processes", jobs=2)
         assert engine.executor.name == "processes"
