@@ -288,7 +288,10 @@ class Engine:
         :class:`~repro.engine.executors.ShardExecutor` instance.
     jobs:
         Worker count for pool executors (default: available CPUs; always 1
-        for the serial executor unless given explicitly).
+        for the serial executor unless given explicitly).  The process
+        executor keeps one pool of ``jobs`` warm workers per process, built
+        on the first run (not here) and reused by both rounds of every
+        audit and by every engine asking for the same ``jobs``.
     partitioner:
         ``"hash"``, ``"round-robin"`` or ``"size-balanced"`` (default) — or a
         :class:`~repro.engine.partition.Partitioner` instance.
