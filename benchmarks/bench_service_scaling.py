@@ -1,8 +1,8 @@
 """Audit-service fleet scaling: worker-pool throughput and verdict latency.
 
 The audit service multiplexes every session onto one event loop; with
-``--workers N`` its checker CPU moves onto a pool of N processes behind
-consistent-hash shard routing.  This benchmark measures what that buys under
+``--workers N`` its sessions move onto a pool of N processes, each session
+whole on one worker.  This benchmark measures what that buys under
 a concurrent fleet of sessions:
 
 * **sustained throughput** — an asyncio load generator drives many concurrent
@@ -13,7 +13,7 @@ a concurrent fleet of sessions:
   arriving back, reported as p50/p99 milliseconds;
 * **scaling efficiency** — throughput at 1/2/4 workers relative to the
   single-process server (``workers = 0``), i.e. how much of the ideal N-times
-  speedup the shard routing and IPC actually deliver.
+  speedup session placement and IPC actually deliver.
 
 One session per run streams with ``witness=True`` and its final report is
 compared against a local batch verification — reason- and witness-exact — so
@@ -235,8 +235,8 @@ def run(sessions=8, registers=4, ops_per_register=150, window_size=32,
 
     results = []
     for workers in worker_counts:
-        # Parity is checked on the largest pool: the config where routing,
-        # the batch codec, and verdict merging all matter most.
+        # Parity is checked on the largest pool: the config where placement
+        # and the parent/worker split matter most.
         parity = workers == max(worker_counts)
         results.append(bench_config(workers, fleet, window_size, parity=parity))
         label = "in-process" if workers == 0 else f"{workers} workers"

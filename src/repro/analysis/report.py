@@ -531,22 +531,23 @@ class SessionStats:
 class WorkerStats:
     """Per-worker accounting of the audit service's process pool.
 
-    One row per pool worker: how many checker shards it currently homes, the
-    feed traffic it has absorbed, and its failover history (``restarts``
-    counts respawns after a worker-process death; ``restored_shards`` counts
-    shards rehydrated onto this worker from snapshots — failover and
-    ring-rebalance migrations alike).
+    One row per pool worker: how many live sessions it currently homes, the
+    feed traffic it has absorbed (``batches`` counts window requests, one per
+    closed window), and its failover history (``restarts`` counts respawns
+    after a worker-process death; ``restored_sessions`` counts sessions
+    rehydrated onto this worker from snapshots — failover and checkpoint
+    resumes alike).
     """
 
     worker_id: int
     pid: Optional[int]
     alive: bool
-    shards: int
+    sessions: int
     batches: int
     ops: int
     snapshots: int
     restarts: int
-    restored_shards: int
+    restored_sessions: int
 
 
 @dataclass(frozen=True)
@@ -648,7 +649,7 @@ class ServiceReport:
             lines.append(
                 format_table(
                     [
-                        "worker", "pid", "state", "shards", "batches", "ops",
+                        "worker", "pid", "state", "sessions", "batches", "ops",
                         "snapshots", "restarts", "restored",
                     ],
                     [
@@ -656,12 +657,12 @@ class ServiceReport:
                             w.worker_id,
                             w.pid if w.pid is not None else "-",
                             "up" if w.alive else "down",
-                            w.shards,
+                            w.sessions,
                             w.batches,
                             w.ops,
                             w.snapshots,
                             w.restarts,
-                            w.restored_shards,
+                            w.restored_sessions,
                         ]
                         for w in self.workers
                     ],

@@ -137,12 +137,11 @@ class CorruptCheckpointError(ServiceError):
 
 
 class WorkerCrashLoopError(ServiceError):
-    """A pool worker kept dying on respawn; its shards are failed, not retried.
+    """A pool worker kept dying on respawn; its sessions fail, not retry.
 
     Raised instead of spinning when crash-loop detection trips (N respawns
-    within T seconds) — the shard state is preserved in the parent, but the
-    pool refuses to feed the affected worker until it is resized or
-    restarted.
+    within T seconds) — the session state is preserved in the parent, but
+    the pool refuses to feed the affected worker until it is restarted.
     """
 
     code = "crash_loop"

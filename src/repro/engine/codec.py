@@ -245,12 +245,12 @@ def _decode_witness(
 
 
 # ----------------------------------------------------------------------
-# Feed batches: stream-order operation sequences for the worker pool
+# Feed batches: stream-order operation sequences, one per register
 # ----------------------------------------------------------------------
 # The shard-item codec above ships *whole register histories* in canonical
-# (start, finish, id) order — right for batch shard tasks, wrong for the
-# audit pool, whose incremental checkers must see each register's operations
-# in *stream* order with their original op ids (verdict parity with the
+# (start, finish, id) order — right for batch shard tasks, wrong for an
+# incremental checker, which must see each register's operations in
+# *stream* order with their original op ids (verdict parity with the
 # single-process path is id- and order-sensitive).  A feed batch therefore
 # keeps the operations exactly as fed and columnarises them positionally:
 # type flags, timestamp arrays, id arrays, interned values/clients, with the
@@ -351,12 +351,10 @@ def encode_feed_batches(
 ) -> bytes:
     """Serialise ``(register_key, ops-in-stream-order)`` batches compactly.
 
-    Each batch is one register's slice of a closed window, exactly as the
-    event loop would have fed it to an in-process checker.  Operation order,
-    ids, clients and weights survive the round trip bit-for-bit — the
-    contract that makes pooled verdict streams identical to single-process
-    ones.  Every operation in a batch must carry the batch's register key
-    (the service groups by ``op.key``, so this holds by construction).
+    Each batch is one register's slice of a closed window, exactly as an
+    in-process checker would be fed it.  Operation order, ids, clients and
+    weights survive the round trip bit-for-bit.  Every operation in a batch
+    must carry the batch's register key.
     """
     payload = [(key, _encode_ops(ops)) for key, ops in batches]
     return pickle.dumps(

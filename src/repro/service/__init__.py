@@ -8,9 +8,9 @@ client — over TCP and/or a unix socket, applies per-session backpressure
 through bounded queues, streams rolling window verdicts back while each
 trace is still arriving, and (with a :class:`CheckpointStore` attached)
 persists sessions so a crash or restart resumes them with verdicts identical
-to an uninterrupted run.  With ``workers=N`` the checker CPU runs on a
-:class:`WorkerPool` of long-lived processes behind consistent-hash shard
-routing (:class:`HashRing`) — same protocol, same verdicts, multiple cores.
+to an uninterrupted run.  With ``workers=N`` each session runs on one
+:class:`WorkerPool` process, placed on the worker homing the fewest live
+sessions — same protocol, same verdicts, multiple cores.
 
 Entry points:
 
@@ -27,7 +27,6 @@ from .client import AuditClient, RemoteReport, verify_remote
 from .pool import PooledAuditSession, WorkerPool
 from .protocol import parse_address
 from .resilient import ResilientAuditClient, RetryPolicy
-from .routing import HashRing
 from .server import AuditServer
 from .session import AuditSession, SessionConfig
 
@@ -46,5 +45,4 @@ __all__ = [
     "WorkerPool",
     "PooledAuditSession",
     "WorkerChaos",
-    "HashRing",
 ]

@@ -79,8 +79,7 @@ class CheckpointStore:
     """Per-session checkpoint persistence over a :class:`StateStore` backend.
 
     Construct with a directory and a backend name, or wrap an existing
-    store with ``CheckpointStore(store=...)`` (the server does this so the
-    checkpoint layer and the worker-pool journal share one store).
+    store with ``CheckpointStore(store=...)``.
     """
 
     def __init__(

@@ -35,10 +35,10 @@ Worker pool
 With ``workers=N`` the checker CPU moves off the event loop onto a
 :class:`~repro.service.pool.WorkerPool` of ``N`` long-lived processes:
 sessions become :class:`~repro.service.pool.PooledAuditSession` objects whose
-per-register checkers live on pool workers, routed by consistent hashing and
-restored transparently when a worker dies.  The protocol, the verdict
-streams, and the checkpoint format are identical to single-process serving —
-``workers`` is purely a throughput knob.
+whole stream session lives on one pool worker, placed by a count of live
+sessions and restored transparently when that worker dies.  The protocol,
+the verdict streams, and the checkpoint format are identical to
+single-process serving — ``workers`` is purely a throughput knob.
 
 Graceful drain
 --------------
@@ -136,8 +136,7 @@ class AuditServer:
         ``checkpoint_dir`` (``json``, ``sqlite`` or ``segments``); defaults
         to ``default_config.state_backend``.  Checkpoint payloads are
         byte-identical across backends, so a deployment can switch by
-        re-putting each session's blob.  Non-default backends additionally
-        journal the worker pool's failover state through the same store.
+        re-putting each session's blob.
     """
 
     def __init__(
@@ -170,8 +169,7 @@ class AuditServer:
         self.host = host
         self.port = port
         self.unix_path = str(unix_path) if unix_path is not None else None
-        #: Which repro.state backend persists checkpoints (and, for the
-        #: non-default backends, the worker pool's failover journal).
+        #: Which repro.state backend persists checkpoints.
         self.state_backend = (
             state_backend
             if state_backend is not None
@@ -245,16 +243,7 @@ class AuditServer:
         self._stop_event = asyncio.Event()
         self._started_at = time.monotonic()
         if self.workers is not None:
-            # Non-default state backends also journal the pool's failover
-            # state (snapshots + replay logs) instead of holding it in
-            # parent memory; the default json backend keeps the historical
-            # in-memory copy, whose per-window file churn it would not absorb.
-            journal = (
-                self.store.store
-                if self.store is not None and self.state_backend != "json"
-                else None
-            )
-            self._pool = WorkerPool(self.workers, journal=journal)
+            self._pool = WorkerPool(self.workers)
             await self._pool.start()
         if self.port is not None:
             self._servers.append(

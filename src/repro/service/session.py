@@ -353,7 +353,7 @@ class AuditSession:
     # Async surface
     # ------------------------------------------------------------------
     # The server drives every session through these coroutines so pooled
-    # sessions (repro.service.pool.PooledAuditSession), whose checkers answer
+    # sessions (repro.service.pool.PooledAuditSession), whose streams answer
     # over a process boundary, plug in without the server caring.  For the
     # in-process session they simply delegate: the synchronous calls are
     # sub-millisecond per operation and already yield to the loop through the

@@ -1,7 +1,7 @@
 """The :class:`StateStore` interface: durable keyed-blob storage backends.
 
-Everything the auditor must not lose across a crash — session checkpoints,
-the worker pool's failover journal, spilled window timelines — is a small
+Everything the auditor must not lose across a crash — session checkpoints
+and their journals, spilled window timelines — is a small
 set of *named binary blobs*.  A :class:`StateStore` is exactly that surface:
 a two-level ``(namespace, key) -> bytes`` map with atomic, durable writes,
 so every stateful service component persists through one interface and the
@@ -15,8 +15,6 @@ namespace        contents
 =============== =========================================================
 sessions         pickled session checkpoint payloads (one base per session)
 session-journal  checkpoint journal deltas extending each session's base
-pool-snap        worker-pool parent copies of per-shard checker snapshots
-pool-log         worker-pool per-shard replay-log entries
 timeline         spilled :class:`WindowReport` entries of long streams
 =============== =========================================================
 
@@ -30,8 +28,8 @@ Durability contract
 survives power loss: data is flushed and ``fsync``-ed, and for file-per-key
 backends the directory entry is synced too.  ``durable=False`` relaxes this
 to process-crash safety (the write is atomic but may be lost on power cut)
-for high-churn state whose authority lives elsewhere, such as the pool's
-failover journal.  A reader must never observe a torn blob: a partially
+for high-churn state whose authority lives elsewhere, such as spilled
+timeline entries.  A reader must never observe a torn blob: a partially
 written value either loads as the previous value or raises
 :class:`~repro.core.errors.CorruptStateError` — the crash-durability suite
 (``tests/test_durability.py``) enforces this at every truncation boundary.

@@ -10,7 +10,7 @@ commits may be rolled back).
 
 Compared to the file-per-key backend this trades human-greppable files for
 one inode, transactional multi-put potential, and much cheaper small-blob
-churn (the pool's failover journal) on filesystems where creating and
+churn (checkpoint journal deltas) on filesystems where creating and
 fsyncing thousands of tiny files is slow.
 
 The connection is shared across threads (the audit server writes

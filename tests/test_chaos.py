@@ -591,7 +591,7 @@ def test_idle_watchdog_checkpoints_and_raises_typed_error(tmp_path):
     assert report.ops == len(ops)
 
 
-def test_crash_loop_detection_raises_typed_error_and_resize_resets():
+def test_crash_loop_detection_raises_typed_error():
     from repro.service.session import SessionConfig
     from repro.service import PooledAuditSession, WorkerPool
 
@@ -616,19 +616,10 @@ def test_crash_loop_detection_raises_typed_error_and_resize_resets():
             with pytest.raises(WorkerCrashLoopError):
                 for op in ops[20:]:
                     await session.afeed(op)
-            # resize() is the operator reset: it discards breaker state,
-            # respawns, and restores shards from the parent's replay copies.
-            await pool.resize(1)
-            for op in ops[20:]:
-                await session.afeed(op)
-            report = await session.afinish()
-            return report
         finally:
             await pool.stop()
 
-    report = asyncio.run(scenario())
-    assert report.num_registers == len({op.key for op in ops})
-    assert all(r.algorithm for r in report.results.values())
+    asyncio.run(scenario())
 
 
 def test_retry_policy_validation_and_backoff():

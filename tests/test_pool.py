@@ -1,8 +1,8 @@
-"""Worker pool, consistent-hash routing, failover, and graceful drain.
+"""Worker pool, session placement, failover, and graceful drain.
 
 The contract under test everywhere here is *verdict parity*: a pooled audit
-session — even one that loses workers mid-stream, resizes its pool, or is
-drained and resumed — must emit the exact verdict stream (reasons and
+session — even one that loses its home worker mid-stream, or is drained and
+resumed — must emit the exact verdict stream (reasons and
 witnesses included) of a single-process session over the same operations.
 """
 
@@ -22,15 +22,12 @@ from repro.service import (
     AuditClient,
     AuditServer,
     AuditSession,
-    HashRing,
     PooledAuditSession,
     WorkerPool,
 )
 from repro.service.checkpoint import CheckpointStore
-from repro.service.pool import POOL_LOG_NAMESPACE, POOL_SNAP_NAMESPACE
-from repro.service.routing import canonical_key_bytes
 from repro.service.session import SessionConfig
-from repro.state import available_backends, open_state_store
+from repro.state import available_backends
 
 from tests.conftest import TEST_SEED
 from tests.test_service import make_trace_ops, result_signature
@@ -68,57 +65,6 @@ def assert_report_parity(ref_report, got_report):
 
 
 # ----------------------------------------------------------------------
-# Consistent-hash ring
-# ----------------------------------------------------------------------
-def test_ring_routes_deterministically_and_validates():
-    ring = HashRing([0, 1, 2])
-    keys = [(f"s{i}", f"r{j}") for i in range(20) for j in range(10)]
-    assert ring.assignment(keys) == ring.assignment(keys)
-    rebuilt = HashRing([0, 1, 2])  # a fresh process would build this ring
-    assert ring.assignment(keys) == rebuilt.assignment(keys)
-    with pytest.raises(ServiceError):
-        HashRing([])
-    with pytest.raises(ServiceError):
-        HashRing([0, 0, 1])
-    with pytest.raises(ServiceError):
-        HashRing([0], replicas=0)
-
-
-def test_canonical_key_bytes_distinguishes_types():
-    values = [1, "1", 1.0, True, None, ("1",), (1,)]
-    encodings = [canonical_key_bytes(v) for v in values]
-    # bool is an int subclass and 1.0 == 1, so only the byte encodings —
-    # not the values — can tell these shard keys apart.
-    assert len(set(encodings)) == len(values)
-
-
-def test_ring_resize_moves_about_one_over_n():
-    rng = random.Random(TEST_SEED)
-    keys = [(f"session-{rng.randrange(1 << 30)}", f"reg-{i}") for i in range(4000)]
-    for n in (2, 4, 8):
-        ring = HashRing(range(n))
-        grown = ring.resized(range(n + 1))
-        moved = ring.moved_keys(grown, keys)
-        fraction = len(moved) / len(keys)
-        # Ideal is 1/(n+1); replicas concentrate the distribution near it.
-        assert fraction <= 1.5 / (n + 1), (n, fraction)
-        # Every moved key must land on the *new* worker — a key hopping
-        # between two old workers would invalidate untouched checker state.
-        assert all(grown.route(key) == n for key in moved)
-
-
-def test_ring_load_spread_is_reasonable():
-    rng = random.Random(TEST_SEED + 1)
-    keys = [(f"s{rng.randrange(1 << 30)}", i) for i in range(6000)]
-    ring = HashRing(range(4))
-    counts = {w: 0 for w in range(4)}
-    for key in keys:
-        counts[ring.route(key)] += 1
-    ideal = len(keys) / 4
-    assert max(counts.values()) <= 1.35 * ideal, counts
-
-
-# ----------------------------------------------------------------------
 # Feed-batch codec
 # ----------------------------------------------------------------------
 def test_feed_batch_codec_round_trips_stream_order():
@@ -143,7 +89,7 @@ def test_feed_batch_codec_round_trips_stream_order():
 
 
 # ----------------------------------------------------------------------
-# Pooled sessions: parity, failover, resize
+# Pooled sessions: parity, placement, failover
 # ----------------------------------------------------------------------
 def test_pooled_session_matches_single_process_exactly():
     trace, stream = make_trace_ops(
@@ -179,8 +125,8 @@ def test_worker_kill_failover_keeps_verdict_stream_identical():
         rng, registers=6, ops=70, staleness=0.2
     )
     ref_windows, ref_report = run_single_process(stream)
-    # Kill a worker at randomized feed indices — including mid-window
-    # positions — across a few runs; parity must hold at every one.
+    # Kill the session's home worker at randomized feed indices — including
+    # mid-window positions — across a few runs; parity must hold at every one.
     kill_points = sorted(rng.sample(range(20, len(stream) - 10), 3))
 
     async def scenario(kill_at):
@@ -191,8 +137,7 @@ def test_worker_kill_failover_keeps_verdict_stream_identical():
             windows = []
             for index, op in enumerate(stream):
                 if index == kill_at:
-                    victim = rng.choice(list(pool.worker_pids().values()))
-                    os.kill(victim, signal.SIGKILL)
+                    os.kill(pool.worker_pids()[pool.home_of("kill")], signal.SIGKILL)
                 report = await session.afeed(op)
                 if report is not None:
                     windows.append(report)
@@ -206,7 +151,39 @@ def test_worker_kill_failover_keeps_verdict_stream_identical():
         assert_window_parity(ref_windows, windows)
         assert_report_parity(ref_report, report)
         assert sum(row.restarts for row in stats) >= 1
-        assert sum(row.restored_shards for row in stats) >= 1
+        assert sum(row.restored_sessions for row in stats) >= 1
+
+
+def test_concurrent_sessions_are_placed_apart_one_request_per_window():
+    _trace, stream = make_trace_ops(
+        random.Random(TEST_SEED + 7), registers=4, ops=48, staleness=0.1
+    )
+    ref_windows, ref_report = run_single_process(stream)
+
+    async def run(session):
+        windows = [r for op in stream if (r := await session.afeed(op)) is not None]
+        return windows, await session.afinish()
+
+    async def scenario():
+        pool = WorkerPool(2)
+        await pool.start()
+        try:
+            sessions = [PooledAuditSession.start(f"c{i}", CONFIG, pool) for i in range(2)]
+            homes = [pool.home_of(session.session_id) for session in sessions]
+            assert [row.sessions for row in pool.worker_stats()] == [1, 1]
+            results = await asyncio.gather(*(run(session) for session in sessions))
+            return homes, results, pool.worker_stats()
+        finally:
+            await pool.stop()
+
+    homes, results, stats = asyncio.run(scenario())
+    assert sorted(homes) == [0, 1]
+    for windows, report in results:
+        assert_window_parity(ref_windows, windows)
+        assert_report_parity(ref_report, report)
+    # One feed request per closed window; finishing ships the tail with it.
+    assert [row.batches for row in stats] == [len(ref_windows)] * 2
+    assert [row.sessions for row in stats] == [0, 0]
 
 
 def test_feeder_parked_on_a_dead_worker_wakes_with_its_replacement(monkeypatch):
@@ -251,42 +228,6 @@ def test_feeder_parked_on_a_dead_worker_wakes_with_its_replacement(monkeypatch):
     assert_window_parity(ref_windows, windows)
     assert_report_parity(ref_report, report)
     assert stats[0].restarts == 1
-
-
-def test_resize_mid_stream_keeps_parity_and_moves_few_shards():
-    trace, stream = make_trace_ops(
-        random.Random(TEST_SEED + 3), registers=8, ops=60, staleness=0.1
-    )
-    ref_windows, ref_report = run_single_process(stream)
-    third = len(stream) // 3
-
-    async def scenario():
-        pool = WorkerPool(2)
-        await pool.start()
-        try:
-            session = PooledAuditSession.start("rz", CONFIG, pool)
-            windows = []
-            moves = []
-            for index, op in enumerate(stream):
-                if index == third:
-                    moves.append(await pool.resize(4))
-                    assert pool.size == 4
-                if index == 2 * third:
-                    moves.append(await pool.resize(3))
-                    assert pool.size == 3
-                report = await session.afeed(op)
-                if report is not None:
-                    windows.append(report)
-            final = await session.afinish()
-            return windows, final, moves
-        finally:
-            await pool.stop()
-
-    windows, report, moves = asyncio.run(scenario())
-    assert_window_parity(ref_windows, windows)
-    assert_report_parity(ref_report, report)
-    # Growing 2→4 must not re-deal every shard (8 registers = 8 shards).
-    assert moves[0] <= 6, moves
 
 
 def test_pooled_and_in_process_checkpoints_are_interchangeable():
@@ -483,13 +424,11 @@ def test_pool_rejects_bad_sizes():
     with pytest.raises(ServiceError):
         WorkerPool(0)
     with pytest.raises(ServiceError):
-        WorkerPool(2, snapshot_every=-1)
-    with pytest.raises(ServiceError):
         AuditServer(workers=-1)
 
 
 # ----------------------------------------------------------------------
-# State-backend axis: journalled failover state and checkpoint interchange
+# State-backend axis: checkpoint interchange
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("backend", available_backends())
 def test_pooled_checkpoint_interchange_through_every_backend(tmp_path, backend):
@@ -520,45 +459,3 @@ def test_pooled_checkpoint_interchange_through_every_backend(tmp_path, backend):
         resumed.feed(op)
     assert_report_parity(ref_report, resumed.finish())
     store.close()
-
-
-@pytest.mark.parametrize("backend", ["sqlite", "segments"])
-def test_journalled_pool_failover_keeps_parity(tmp_path, backend):
-    """Failover state lives in the journal, not parent memory — and a worker
-    kill recovers from it with exact verdict parity."""
-    _trace, stream = make_trace_ops(
-        random.Random(TEST_SEED + 9), registers=5, ops=60, staleness=0.15
-    )
-    ref_windows, ref_report = run_single_process(stream)
-    journal = open_state_store(backend, tmp_path / backend)
-    kill_at = len(stream) // 2
-
-    async def scenario():
-        pool = WorkerPool(2, journal=journal)
-        await pool.start()
-        try:
-            session = PooledAuditSession.start("jf", CONFIG, pool)
-            windows = []
-            for index, op in enumerate(stream):
-                if index == kill_at:
-                    victim = sorted(pool.worker_pids().values())[0]
-                    os.kill(victim, signal.SIGKILL)
-                report = await session.afeed(op)
-                if report is not None:
-                    windows.append(report)
-            final = await session.afinish()
-            return windows, final, pool.worker_stats()
-        finally:
-            await pool.stop()
-
-    windows, report, stats = asyncio.run(scenario())
-    assert_window_parity(ref_windows, windows)
-    assert_report_parity(ref_report, report)
-    assert sum(row.restarts for row in stats) >= 1
-    assert sum(row.restored_shards for row in stats) >= 1
-    # The failover copies actually flowed through the journal...
-    assert journal.puts > 0
-    # ...and retiring the session cleaned its journalled state back out.
-    assert journal.keys(POOL_SNAP_NAMESPACE) == []
-    assert journal.keys(POOL_LOG_NAMESPACE) == []
-    journal.close()

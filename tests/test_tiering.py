@@ -300,7 +300,7 @@ def test_service_report_surfaces_escalations():
 
 
 # ----------------------------------------------------------------------
-# Pooled sessions: per-shard escalation parity
+# Pooled sessions: escalation parity
 # ----------------------------------------------------------------------
 def test_pooled_tiered_session_matches_in_process():
     from repro.service import PooledAuditSession, WorkerPool
@@ -317,8 +317,7 @@ def test_pooled_tiered_session_matches_in_process():
     ]
     stream = _stream(ops)
     ref = AuditSession.start("ref", config)
-    for op in stream:
-        ref.feed(op)
+    ref_windows = [r for op in stream if (r := ref.feed(op)) is not None]
     ref_report = ref.finish()
 
     async def scenario():
@@ -334,21 +333,25 @@ def test_pooled_tiered_session_matches_in_process():
             await pool.stop()
 
     session, windows, report = asyncio.run(scenario())
-    # Final verdicts (the sound surface) are identical to in-process tiered —
-    # which the streaming tests pin to exact.
-    assert set(ref_report.results) == set(report.results)
+    # Window for window: the pooled session is the in-process one, so
+    # verdicts, reasons, tier routing and escalation triggers all agree.
+    assert len(windows) == len(ref_windows)
+    for index, (got, want) in enumerate(zip(windows, ref_windows)):
+        assert got.verdicts == want.verdicts, index
+        assert got.tiers == want.tiers, index
+        assert got.escalations == want.escalations, index
+    assert list(report.results) == list(ref_report.results)
     for key, expected in ref_report.results.items():
         got = report.results[key]
         assert bool(got) == bool(expected), key
-        if not expected:
-            assert got.reason == expected.reason, key
-    # Per-shard escalation: the hot register pays checks, the cold one peeks.
+        assert got.reason == expected.reason, key
+    # Per-register escalation: the hot register pays checks, the cold one peeks.
     assert report.tier == "auto"
     modes_x = [w.tiers.get("x") for w in windows if "x" in w.tiers]
     modes_y = [w.tiers.get("y") for w in windows if "y" in w.tiers]
-    assert "check" in modes_x, "stale shard never escalated"
-    assert "peek" in modes_y, "clean shard never screened"
-    assert session.escalations >= 1
+    assert "check" in modes_x, "stale register never escalated"
+    assert "peek" in modes_y, "clean register never screened"
+    assert session.escalations == ref.escalations >= 1
     # The pooled checkpoint schema matches the in-process one.
     payload = asyncio.run(_pooled_checkpoint(config, stream))
     assert "tiering" in payload and "tier" in payload["stream"]
