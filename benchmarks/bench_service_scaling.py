@@ -13,7 +13,12 @@ a concurrent fleet of sessions:
   arriving back, reported as p50/p99 milliseconds;
 * **scaling efficiency** — throughput at 1/2/4 workers relative to the
   single-process server (``workers = 0``), i.e. how much of the ideal N-times
-  speedup session placement and IPC actually deliver.
+  speedup session placement and IPC actually deliver;
+* **closing-``afeed`` cost** — in this process, uncontended, one session at
+  a time: the median time of the ``afeed`` call that closes a session's
+  one 64-op window, for a pooled session (one worker) against an
+  in-process one.  The difference is what a window's round trip to a
+  worker costs on top of the check itself.
 
 One session per run streams with ``witness=True`` and its final report is
 compared against a local batch verification — reason- and witness-exact — so
@@ -61,6 +66,8 @@ if __name__ == "__main__" and __package__ is None:
 from repro.analysis.report import format_table
 from repro.core.api import verify_trace
 from repro.service.client import AuditClient
+from repro.service.pool import PooledAuditSession, WorkerPool
+from repro.service.session import AuditSession, SessionConfig
 from repro.workloads.synthetic import synthetic_trace
 
 _SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -171,6 +178,46 @@ async def run_fleet(address, fleet, window_size, *, witness_session=None):
     return reports, elapsed, latencies
 
 
+#: Closing-``afeed`` probe: sessions of this many registers x ops per
+#: register, i.e. one window of ``AFEED_REGISTERS * AFEED_OPS`` operations.
+AFEED_SESSIONS, AFEED_REGISTERS, AFEED_OPS = 40, 8, 8
+
+
+async def closing_afeed_ms(fleet, pool=None):
+    """Median ms of the ``afeed`` that closes each session's only window,
+    feeding one session at a time (pooled when ``pool`` is given)."""
+    samples = []
+    for index, (_trace, stream) in enumerate(fleet):
+        config = SessionConfig(k=2, window_size=len(stream))
+        session = (AuditSession.start(f"afeed-{index}", config) if pool is None
+                   else PooledAuditSession.start(f"afeed-{index}", config, pool))
+        for op in stream[:-1]:
+            await session.afeed(op)
+        t0 = time.perf_counter()
+        report = await session.afeed(stream[-1])
+        samples.append((time.perf_counter() - t0) * 1e3)
+        assert report is not None, "the last operation must close the window"
+        await session.afinish()
+    return percentile(samples, 0.50)
+
+
+async def bench_closing_afeed(seed):
+    fleet = make_fleet(seed, AFEED_SESSIONS, AFEED_REGISTERS, AFEED_OPS)
+    in_process = await closing_afeed_ms(fleet)
+    pool = WorkerPool(1)
+    await pool.start()
+    try:
+        pooled = await closing_afeed_ms(fleet, pool)
+    finally:
+        await pool.stop()
+    return {
+        "sessions": AFEED_SESSIONS,
+        "window_ops": AFEED_REGISTERS * AFEED_OPS,
+        "in_process_p50_ms": round(in_process, 3),
+        "pooled_p50_ms": round(pooled, 3),
+    }
+
+
 def result_signature(result, witness=True):
     order = None
     if witness and result.witness is not None:
@@ -270,6 +317,13 @@ def run(sessions=8, registers=4, ops_per_register=150, window_size=32,
         file=out,
     )
     print("\nverdict parity (reasons and witnesses) held on the largest pool", file=out)
+    afeed = asyncio.run(bench_closing_afeed(seed))
+    print(
+        f"closing afeed, one {afeed['window_ops']}-op window per session, "
+        f"median of {afeed['sessions']}: pooled {afeed['pooled_p50_ms']:.2f} ms, "
+        f"in-process {afeed['in_process_p50_ms']:.2f} ms",
+        file=out,
+    )
 
     record = {
         "config": {
@@ -283,6 +337,7 @@ def run(sessions=8, registers=4, ops_per_register=150, window_size=32,
         },
         "cpu_count": cpu_count,
         "results": results,
+        "closing_afeed": afeed,
     }
     if json_path:
         Path(json_path).parent.mkdir(parents=True, exist_ok=True)

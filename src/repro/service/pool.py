@@ -16,6 +16,7 @@ event loop keeps socket pumping, JSONL decoding and backpressure.
   ships the operations since the last close to the home worker, which feeds
   them through ``StreamSession.feed`` and returns the :class:`WindowReport`
   the last one produced.  ``snapshot``/``finish`` ship what is pending first.
+  Each worker's socketpair end is an asyncio stream on the parent's loop.
 * **Failover.**  The pool keeps, per session, the last snapshot (piggybacked
   on every :data:`SNAPSHOT_EVERY`-th feed, and taken at every checkpoint)
   plus the batches fed since.  A dead worker is respawned under the same
@@ -33,9 +34,11 @@ import multiprocessing
 import os
 import pickle
 import signal
-import threading
+import socket
+import struct
 import time
 from collections import Counter
+from multiprocessing.connection import Connection
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.report import StreamVerificationReport, WindowReport, WorkerStats
@@ -196,16 +199,17 @@ def _worker_main(conn, worker_id: int) -> None:
 # Parent side
 # ----------------------------------------------------------------------
 class _WorkerHandle:
-    """Parent-side view of one worker process: its pipe, a reader thread
-    resolving replies on the event loop, and its traffic counters.  A
-    respawned replacement is a *new* handle with ``generation + 1``."""
+    """Parent-side view of one worker process: a stream on its socketpair
+    end, a reader task resolving replies on the event loop, and traffic
+    counters.  A respawned replacement is a *new* handle, ``generation + 1``."""
 
-    def __init__(self, worker_id: int, generation: int, ctx, loop):
+    def __init__(self, worker_id: int, generation: int, ctx, on_death):
         self.worker_id = worker_id
         self.generation = generation
-        self._loop = loop
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
-        self.conn = parent_conn
+        self.on_death = on_death
+        # ``ctx.Pipe(duplex=True)`` on POSIX, the parent's end left a socket.
+        self._sock, child_sock = socket.socketpair()
+        child_conn = Connection(child_sock.detach())
         self.process = ctx.Process(
             target=_worker_main,
             args=(child_conn, worker_id),
@@ -219,28 +223,27 @@ class _WorkerHandle:
         self.stopping = False
         self._futures: Dict[int, asyncio.Future] = {}
         self._request_counter = 0
-        self._send_lock = asyncio.Lock()
-        self.on_death = None  # set by the pool before first use
         self.batches = 0
         self.ops = 0
         self.snapshots = 0
         self.restored_sessions = 0
-        self._reader = threading.Thread(
-            target=self._read_loop, name=f"audit-pool-reader-{worker_id}", daemon=True
-        )
-        self._reader.start()
 
-    # -- reader thread --------------------------------------------------
-    def _read_loop(self) -> None:
-        with contextlib.suppress(Exception):  # EOF/OSError: the worker is gone
+    async def connect(self) -> None:
+        """Put the socket on the running loop and start the reader task."""
+        reader, self._writer = await asyncio.open_connection(sock=self._sock)
+        self._pump = asyncio.create_task(self._read_loop(reader))
+
+    async def _read_loop(self, reader: asyncio.StreamReader) -> None:
+        """Resolve replies, framed as ``Connection.send_bytes`` frames them."""
+        try:
             while True:
-                blob = self.conn.recv_bytes()
-                self._loop.call_soon_threadsafe(self._dispatch, blob)
-        # RuntimeError: the loop is already closed (interpreter shutdown).
-        with contextlib.suppress(RuntimeError):
-            self._loop.call_soon_threadsafe(self._mark_dead)
+                (size,) = struct.unpack("!i", await reader.readexactly(4))
+                if size == -1:
+                    (size,) = struct.unpack("!Q", await reader.readexactly(8))
+                self._dispatch(await reader.readexactly(size))
+        except Exception:  # noqa: BLE001 - EOF, a reset or an unreadable reply
+            self._mark_dead()
 
-    # -- event-loop side ------------------------------------------------
     def _dispatch(self, blob: bytes) -> None:
         request_id, ok, payload = pickle.loads(blob)
         future = self._futures.pop(request_id, None)
@@ -256,11 +259,12 @@ class _WorkerHandle:
             return
         self.dead = True
         self.ready.clear()
+        self._writer.close()  # a live worker reads EOF and exits
         for future in self._futures.values():
             if not future.done():
                 future.set_exception(_WorkerDied(f"worker {self.worker_id} died"))
         self._futures.clear()
-        if self.on_death is not None and not self.stopping:
+        if not self.stopping:
             self.on_death(self.worker_id, self.generation)
 
     async def request(self, command: str, *args):
@@ -269,34 +273,29 @@ class _WorkerHandle:
             raise _WorkerDied(f"worker {self.worker_id} died")
         self._request_counter += 1
         request_id = self._request_counter
-        future = self._loop.create_future()
+        future = asyncio.get_running_loop().create_future()
         self._futures[request_id] = future
         blob = pickle.dumps((request_id, command, *args), pickle.HIGHEST_PROTOCOL)
-        async with self._send_lock:
-            try:
-                # The pipe write can block when the kernel buffer is full, so
-                # it runs off the loop; the per-handle lock keeps frames whole.
-                await asyncio.to_thread(self.conn.send_bytes, blob)
-            except OSError:
-                self._futures.pop(request_id, None)
-                self._mark_dead()
-                raise _WorkerDied(f"worker {self.worker_id} died") from None
+        size = len(blob)
+        header = struct.pack("!i", size) if size <= 0x7FFFFFFF else struct.pack("!iQ", -1, size)
+        # One write per frame, so concurrent requests never interleave bytes.
+        self._writer.write(header + blob)
+        with contextlib.suppress(Exception):  # connection lost: the reader fails `future`
+            await self._writer.drain()
         return await future
 
     async def stop(self, timeout: float = 2.0) -> None:
         """Orderly shutdown: ask, wait briefly, then kill."""
         self.stopping = True
         if not self.dead:
-            try:
+            with contextlib.suppress(ServiceError, _WorkerDied, asyncio.TimeoutError):
                 await asyncio.wait_for(self.request("stop"), timeout)
-            except (ServiceError, _WorkerDied, asyncio.TimeoutError):
-                pass
         await asyncio.to_thread(self.process.join, timeout)
         if self.process.is_alive():  # pragma: no cover - stuck worker
             self.process.kill()
             await asyncio.to_thread(self.process.join, timeout)
-        with contextlib.suppress(OSError):  # pragma: no cover - already gone
-            self.conn.close()
+        self._writer.close()
+        await self._pump  # ends once the transport has closed the socket
 
 
 class WorkerPool:
@@ -358,7 +357,7 @@ class WorkerPool:
             raise ServiceError("worker pool already started")
         self._loop = asyncio.get_running_loop()
         for worker_id in range(self.size):
-            self._spawn(worker_id, generation=0)
+            await self._spawn(worker_id, generation=0)
         self._started = True
         # One ping per worker: surfaces a worker that died on arrival now,
         # not on the first session's first window.
@@ -379,9 +378,9 @@ class WorkerPool:
         self._workers.clear()
         self._sessions.clear()
 
-    def _spawn(self, worker_id: int, generation: int) -> _WorkerHandle:
-        handle = _WorkerHandle(worker_id, generation, self._ctx, self._loop)
-        handle.on_death = self._on_worker_death
+    async def _spawn(self, worker_id: int, generation: int) -> _WorkerHandle:
+        handle = _WorkerHandle(worker_id, generation, self._ctx, self._on_worker_death)
+        await handle.connect()
         handle.ready.set()
         self._workers[worker_id] = handle
         return handle
@@ -507,7 +506,7 @@ class WorkerPool:
             await asyncio.sleep(
                 min(_RESPAWN_BACKOFF_BASE_S * 2 ** (len(recent) - 2), _RESPAWN_BACKOFF_CAP_S)
             )
-        handle = self._spawn(worker_id, generation=dead_generation + 1)
+        handle = await self._spawn(worker_id, generation=dead_generation + 1)
         handle.ready.clear()  # hold feeds until the sessions are rebuilt
         old.ready.set()  # feeders parked on the dead handle move to this one
         try:

@@ -9,9 +9,14 @@ witnesses included) of a single-process session over the same operations.
 from __future__ import annotations
 
 import asyncio
+import gc
 import os
+import pickle
 import random
 import signal
+import sys
+import threading
+import warnings
 
 import pytest
 
@@ -25,6 +30,7 @@ from repro.service import (
     PooledAuditSession,
     WorkerPool,
 )
+from repro.service import pool as pool_module
 from repro.service.checkpoint import CheckpointStore
 from repro.service.session import SessionConfig
 from repro.state import available_backends
@@ -186,6 +192,90 @@ def test_concurrent_sessions_are_placed_apart_one_request_per_window():
     assert [row.sessions for row in stats] == [0, 0]
 
 
+def test_pool_adds_no_threads_and_stop_leaves_no_task_or_socket():
+    """The pool's pipes live on the event loop: starting it and feeding a
+    window start no thread, and stopping it leaves no task pending and no
+    socket or transport to be finalised (a ResourceWarning under "error")."""
+    _trace, stream = make_trace_ops(
+        random.Random(TEST_SEED + 11), registers=3, ops=40, staleness=0.1
+    )
+    unraisable = []
+
+    async def scenario():
+        before = set(threading.enumerate())
+        pool = WorkerPool(2)
+        await pool.start()
+        session = PooledAuditSession.start("t", CONFIG, pool)
+        for op in stream:
+            if await session.afeed(op) is not None:
+                break
+        assert set(threading.enumerate()) - before == set()  # no new thread
+        handles = list(pool._workers.values())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            await pool.stop()
+        assert asyncio.all_tasks() == {asyncio.current_task()}
+        assert all(handle._sock.fileno() == -1 for handle in handles)
+        assert not any(handle.process.is_alive() for handle in handles)
+
+    hook, sys.unraisablehook = sys.unraisablehook, unraisable.append
+    try:
+        asyncio.run(scenario())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gc.collect()
+    finally:
+        sys.unraisablehook = hook
+    assert unraisable == []
+
+
+def test_multi_mib_frames_cross_both_ways_while_the_worker_replies():
+    """Frames several times the socket buffer: a window of 30,000 ops
+    (~1 MiB request) and session snapshots (~2 MiB replies).  One worker
+    homes two sessions, and the second session's window-closing request is
+    written while the worker is still sending the first one's snapshot, so
+    the parent's partial writes wait on a peer that is itself blocked on
+    the parent reading.  Verdicts and reports must equal in-process."""
+    config = SessionConfig(k=2, algorithm="lbt", window_mode="count", window_size=30_000)
+    _trace, stream = make_trace_ops(
+        random.Random(TEST_SEED + 12), registers=8, ops=4000, staleness=0.1
+    )
+    ref_windows, ref_report = run_single_process(stream, config)
+    last = config.window_size - 1
+
+    async def scenario():
+        pool = WorkerPool(1)
+        await pool.start()
+        try:
+            first = PooledAuditSession.start("big-a", config, pool)
+            second = PooledAuditSession.start("big-b", config, pool)
+            windows = {first: [], second: []}
+
+            async def feed(session, ops):
+                for op in ops:
+                    if (report := await session.afeed(op)) is not None:
+                        windows[session].append(report)
+
+            await feed(first, stream)
+            await feed(second, stream[:last])
+            snapshot, _ = await asyncio.wait_for(asyncio.gather(
+                first.acheckpoint_payload(), feed(second, stream[last:last + 1])
+            ), timeout=60)
+            await feed(second, stream[last + 1:])
+            await second.acheckpoint_payload()
+            reports = [await first.afinish(), await second.afinish()]
+            return [windows[first], windows[second]], reports, snapshot
+        finally:
+            await pool.stop()
+
+    windows, reports, snapshot = asyncio.run(scenario())
+    assert len(pickle.dumps(snapshot, pickle.HIGHEST_PROTOCOL)) > 3 * 2**20 // 2
+    for got_windows, report in zip(windows, reports):
+        assert_window_parity(ref_windows, got_windows)
+        assert_window_parity(ref_report.timeline, report.timeline)
+        assert_report_parity(ref_report, report)
+
+
 def test_feeder_parked_on_a_dead_worker_wakes_with_its_replacement(monkeypatch):
     """A feed that meets a dead worker before its replacement exists parks
     on the dead handle; the respawn must wake it, not the recovery timeout
@@ -228,6 +318,40 @@ def test_feeder_parked_on_a_dead_worker_wakes_with_its_replacement(monkeypatch):
     assert_window_parity(ref_windows, windows)
     assert_report_parity(ref_report, report)
     assert stats[0].restarts == 1
+
+
+def test_unreadable_reply_fails_over_like_a_dead_worker(monkeypatch):
+    """A reply that does not unpickle loses the worker: its pending request
+    is retried on the respawned worker after replay, and parity holds."""
+    _trace, stream = make_trace_ops(
+        random.Random(TEST_SEED + 13), registers=3, ops=40, staleness=0.1
+    )
+    ref_windows, ref_report = run_single_process(stream)
+    dispatch = pool_module._WorkerHandle._dispatch
+    replies = []
+
+    def garble_third_reply(handle, blob):
+        replies.append(blob)
+        if len(replies) == 3:
+            raise pickle.UnpicklingError("garbled reply")
+        dispatch(handle, blob)
+
+    async def scenario():
+        pool = WorkerPool(1)
+        await pool.start()
+        try:
+            session = PooledAuditSession.start("garbled", CONFIG, pool)
+            monkeypatch.setattr(pool_module._WorkerHandle, "_dispatch", garble_third_reply)
+            windows = [r for op in stream if (r := await session.afeed(op)) is not None]
+            return windows, await session.afinish(), pool.worker_stats()
+        finally:
+            await pool.stop()
+
+    windows, report, stats = asyncio.run(asyncio.wait_for(scenario(), timeout=30))
+    assert len(replies) > 3
+    assert_window_parity(ref_windows, windows)
+    assert_report_parity(ref_report, report)
+    assert stats[0].restarts == 1 and stats[0].restored_sessions == 1
 
 
 def test_pooled_and_in_process_checkpoints_are_interchangeable():
