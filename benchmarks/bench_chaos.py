@@ -83,10 +83,8 @@ def fault_plan(seed: int, rate: float) -> FaultPlan:
     )
 
 
-async def baseline_run(ops, tmp_dir, state_backend="json", tier=None):
-    server = AuditServer(
-        port=0, checkpoint_dir=tmp_dir / "baseline", state_backend=state_backend
-    )
+async def baseline_run(ops, tmp_dir, tier=None):
+    server = AuditServer(port=0, checkpoint_dir=tmp_dir / "baseline")
     await server.start()
     try:
         windows = []
@@ -102,10 +100,8 @@ async def baseline_run(ops, tmp_dir, state_backend="json", tier=None):
         await server.stop()
 
 
-async def chaos_run(ops, plan, tmp_dir, state_backend="json", tier=None):
-    server = AuditServer(
-        port=0, checkpoint_dir=tmp_dir / plan.name, state_backend=state_backend
-    )
+async def chaos_run(ops, plan, tmp_dir, tier=None):
+    server = AuditServer(port=0, checkpoint_dir=tmp_dir / plan.name)
     await server.start()
     try:
         async with ChaosProxy(server.addresses[0], plan) as proxy:
@@ -139,7 +135,7 @@ def run_bench(args, tmp_dir):
         random.Random(args.seed), args.ops, num_clients=8
     ).operations
     base_report, base_windows, base_elapsed = asyncio.run(
-        baseline_run(ops, tmp_dir, args.state_backend, args.tier)
+        baseline_run(ops, tmp_dir, args.tier)
     )
     rows = [
         {
@@ -157,7 +153,7 @@ def run_bench(args, tmp_dir):
             continue
         plan = fault_plan(args.seed, rate)
         report, client, counts, elapsed = asyncio.run(
-            chaos_run(ops, plan, tmp_dir, args.state_backend, args.tier)
+            chaos_run(ops, plan, tmp_dir, args.tier)
         )
         assert_parity(base_report, base_windows, report, client.windows, rate)
         rows.append(
@@ -184,13 +180,6 @@ def main(argv=None):
         help="comma-separated frame-fault rates to sweep",
     )
     parser.add_argument("--seed", type=int, default=0xC0FFEE)
-    parser.add_argument(
-        "--state-backend",
-        default="json",
-        dest="state_backend",
-        help="checkpoint state-store backend the servers run on "
-        "(json, sqlite, segments)",
-    )
     parser.add_argument(
         "--tier",
         choices=("exact", "screen", "auto"),

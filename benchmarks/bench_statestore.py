@@ -1,41 +1,38 @@
-"""State-store backends: checkpoint latency and eviction-bounded memory.
+"""State store: checkpoint latency, journal size and eviction-bounded memory.
 
-The state tier (:mod:`repro.state`) carries three kinds of hot data —
-session checkpoints, the worker pool's failover journal, and spilled window
-timelines — behind one ``(namespace, key) -> bytes`` interface with three
-backends: fsync-ed file-per-key ``json``, WAL-mode ``sqlite``, and
-log-structured ``segments``.  This benchmark measures what each costs and
-what segment eviction buys:
+The state store (:mod:`repro.state`) carries two kinds of hot data —
+session checkpoints and spilled window timelines — as one fsync-ed file
+per ``(namespace, key)``.  This benchmark measures what it costs and what
+timeline eviction buys:
 
-* **latency section** — per-backend checkpoint ``save`` (durable put:
-  fsync / WAL commit / segment append) and ``load`` + session resume,
-  over a realistic mid-stream :class:`AuditSession` payload;
-* **journal section** — per backend, one session checkpointed every
-  ``JOURNAL_EVERY`` ops (a full base, then deltas, folding every
-  ``FOLD_EVERY``-th save): the bytes each delta stores against a full
-  payload at the same point, and, after every save, a resume from the
-  stored base + deltas finished against the uninterrupted run;
+* **latency section** — checkpoint ``save`` (durable put: tmp file, fsync,
+  rename, directory fsync) and ``load`` + session resume, over a realistic
+  mid-stream :class:`AuditSession` payload;
+* **journal section** — one session checkpointed every ``JOURNAL_EVERY``
+  ops (a full base, then deltas, folding every ``FOLD_EVERY``-th save):
+  the bytes each delta stores against a full payload at the same point,
+  and, after every save, a resume from the stored base + deltas finished
+  against the uninterrupted run;
 * **retention arms** — a long window stream driven through
   :class:`StreamSession` twice in separate subprocesses: *retain-all*
   keeps every closed :class:`WindowReport` in memory (the pre-1.8
   behaviour), *evict* bounds the hot set with
-  ``StreamingEngine(state_store=segments, retain_windows=N)``.  Each arm
-  reports ``ru_maxrss`` and an incremental verdict digest, so the memory
-  comparison is honest and the verdict stream provably identical.
+  ``StreamingEngine(state_store=StateStore(dir), retain_windows=N)``.  Each
+  arm reports ``ru_maxrss`` and an incremental verdict digest, so the
+  memory comparison is honest and the verdict stream provably identical.
 
 Run with::
 
     PYTHONPATH=src python benchmarks/bench_statestore.py [--ops 40000]
         [--window 8] [--retain 16] [--saves 50] [--json PATH] [--check]
 
-``--check`` fails when the stored checkpoint bytes differ across backends
-(the interchange guarantee), when a delta save stores as many bytes as a
-full payload at the same point, when a resume from base + deltas differs
-from the uninterrupted run on any backend (both counts, not timings), when
-the two retention arms' verdict digests diverge, when the default (json)
-backend's durable save exceeds the ``--check-max-save-ms`` ceiling, or — at
->= 2000 windows — when the evict arm's peak RSS is not under
-``--check-max-rss-frac`` of retain-all's.  CI runs a reduced size.
+``--check`` fails when a delta save stores as many bytes as a full payload
+at the same point, when a resume from base + deltas differs from the
+uninterrupted run (both counts, not timings), when the two retention arms'
+verdict digests diverge, when the durable save exceeds the
+``--check-max-save-ms`` ceiling, or — at >= 2000 windows — when the evict
+arm's peak RSS is not under ``--check-max-rss-frac`` of retain-all's.  CI
+runs a reduced size.
 """
 
 from __future__ import annotations
@@ -53,8 +50,6 @@ if __name__ == "__main__" and __package__ is None:
     _src = Path(__file__).resolve().parents[1] / "src"
     if _src.is_dir() and str(_src) not in sys.path:
         sys.path.insert(0, str(_src))
-
-from repro.state import available_backends
 
 SEED = 0xC0FFEE
 
@@ -92,10 +87,10 @@ def session_payload(ops):
 # ----------------------------------------------------------------------
 # Latency section
 # ----------------------------------------------------------------------
-def bench_latency(backend, payload, saves, directory):
+def bench_latency(payload, saves, directory):
     from repro.service.checkpoint import CheckpointStore
 
-    store = CheckpointStore(directory, backend=backend)
+    store = CheckpointStore(directory)
     try:
         t0 = time.perf_counter()
         for i in range(saves):
@@ -108,14 +103,13 @@ def bench_latency(backend, payload, saves, directory):
         for i in range(saves):
             AuditSession.resume(store.load("bench"))
         load_s = (time.perf_counter() - t0) / saves
-        raw = store.raw("bench")
+        payload_bytes = len(store.raw("bench"))
     finally:
         store.close()
     return {
         "save_ms": round(save_s * 1e3, 3),
         "load_resume_ms": round(load_s * 1e3, 3),
-        "payload_bytes": len(raw),
-        "raw": raw,
+        "payload_bytes": payload_bytes,
     }
 
 
@@ -129,7 +123,7 @@ def _results(report):
     }
 
 
-def bench_journal(backend, ops, every, directory):
+def bench_journal(ops, every, directory):
     """Checkpoint one session every ``every`` ops; count oversized deltas and
     resumes that do not finish like the uninterrupted run."""
     import pickle
@@ -143,7 +137,7 @@ def bench_journal(backend, ops, every, directory):
         reference.feed(op)
     expected = _results(reference.finish())
 
-    store = CheckpointStore(directory, backend=backend)
+    store = CheckpointStore(directory)
     session = AuditSession.start("bench", config)
     twin = AuditSession.start("twin", config)  # never saved: always full
     kinds = {"full": 0, "delta": 0}
@@ -192,12 +186,12 @@ def bench_journal(backend, ops, every, directory):
 def run_arm(arm, num_ops, window, retain, state_dir):
     from repro.core.windows import WindowPolicy
     from repro.engine.streaming import StreamingEngine
-    from repro.state import open_state_store
+    from repro.state import StateStore
 
     ops = make_stream(num_ops, SEED)
     store = None
     if arm == "evict":
-        store = open_state_store("segments", state_dir)
+        store = StateStore(state_dir)
         engine = StreamingEngine(
             window=WindowPolicy.count(window), state_store=store,
             retain_windows=retain,
@@ -257,41 +251,32 @@ def run(num_ops, window, retain, saves, json_path, check, check_max_rss_frac,
     payload = session_payload(ops)
     print(
         f"state-store benchmark: {len(ops)} ops, window={window}, "
-        f"retain={retain}, {saves} saves per backend",
+        f"retain={retain}, {saves} saves",
         file=out,
     )
 
-    latency = {}
-    raws = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for backend in available_backends():
-            rec = bench_latency(backend, payload, saves, Path(tmp) / backend)
-            raws[backend] = rec.pop("raw")
-            latency[backend] = rec
-            print(
-                f"  {backend:9s} save {rec['save_ms']:7.3f} ms   "
-                f"load+resume {rec['load_resume_ms']:7.3f} ms   "
-                f"payload {rec['payload_bytes']} B",
-                file=out,
-            )
-    interchangeable = len(set(raws.values())) == 1
+        latency = bench_latency(payload, saves, Path(tmp))
+    print(
+        f"  save {latency['save_ms']:7.3f} ms   "
+        f"load+resume {latency['load_resume_ms']:7.3f} ms   "
+        f"payload {latency['payload_bytes']} B",
+        file=out,
+    )
 
     from repro.service.session import FOLD_EVERY
 
-    journal = {}
     journal_ops = ops[: JOURNAL_EVERY * 2 * FOLD_EVERY]
     with tempfile.TemporaryDirectory() as tmp:
-        for backend in available_backends():
-            rec = bench_journal(backend, journal_ops, JOURNAL_EVERY, Path(tmp) / backend)
-            journal[backend] = rec
-            print(
-                f"  {backend:9s} journal: {rec['saves']['full']} full + "
-                f"{rec['saves']['delta']} delta saves, delta "
-                f"{rec['delta_bytes_median']} B vs full {rec['full_bytes_median']} B "
-                f"(medians), delta save {rec['delta_save_ms']:.3f} ms, "
-                f"{rec['resume_mismatches']} resume mismatches",
-                file=out,
-            )
+        journal = bench_journal(journal_ops, JOURNAL_EVERY, Path(tmp))
+    print(
+        f"  journal: {journal['saves']['full']} full + "
+        f"{journal['saves']['delta']} delta saves, delta "
+        f"{journal['delta_bytes_median']} B vs full {journal['full_bytes_median']} B "
+        f"(medians), delta save {journal['delta_save_ms']:.3f} ms, "
+        f"{journal['resume_mismatches']} resume mismatches",
+        file=out,
+    )
 
     arms = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -313,7 +298,6 @@ def run(num_ops, window, retain, saves, json_path, check, check_max_rss_frac,
             "journal_every": JOURNAL_EVERY,
         },
         "latency": latency,
-        "interchangeable": interchangeable,
         "journal": journal,
         "retain_all": arms["retain-all"],
         "evict": arms["evict"],
@@ -326,24 +310,18 @@ def run(num_ops, window, retain, saves, json_path, check, check_max_rss_frac,
 
     if check:
         failures = []
-        if not interchangeable:
+        if journal["saves"]["delta"] == 0:
+            failures.append("the journal section took no delta saves")
+        if journal["oversized_deltas"]:
             failures.append(
-                "checkpoint bytes differ across backends: "
-                + ", ".join(f"{b}={len(r)}B" for b, r in raws.items())
+                f"{journal['oversized_deltas']} delta saves stored as many "
+                "bytes as a full payload at the same point"
             )
-        for backend, rec in journal.items():
-            if rec["saves"]["delta"] == 0:
-                failures.append(f"{backend}: the journal section took no delta saves")
-            if rec["oversized_deltas"]:
-                failures.append(
-                    f"{backend}: {rec['oversized_deltas']} delta saves stored as "
-                    "many bytes as a full payload at the same point"
-                )
-            if rec["resume_mismatches"]:
-                failures.append(
-                    f"{backend}: {rec['resume_mismatches']} resumes from base + "
-                    "deltas finished unlike the uninterrupted run"
-                )
+        if journal["resume_mismatches"]:
+            failures.append(
+                f"{journal['resume_mismatches']} resumes from base + deltas "
+                "finished unlike the uninterrupted run"
+            )
         if arms["evict"]["digest"] != arms["retain-all"]["digest"]:
             failures.append(
                 "verdict digests diverge between retention arms — eviction "
@@ -351,12 +329,11 @@ def run(num_ops, window, retain, saves, json_path, check, check_max_rss_frac,
             )
         if arms["evict"]["spills"] == 0:
             failures.append("evict arm never spilled — retention is not engaged")
-        json_save = latency["json"]["save_ms"]
-        if json_save > check_max_save_ms:
+        if latency["save_ms"] > check_max_save_ms:
             failures.append(
-                f"default (json) backend durable save {json_save:.3f} ms "
-                f"exceeds the {check_max_save_ms:.1f} ms ceiling — the "
-                "fsync-ed atomic write path has regressed"
+                f"durable save {latency['save_ms']:.3f} ms exceeds the "
+                f"{check_max_save_ms:.1f} ms ceiling — the fsync-ed atomic "
+                "write path has regressed"
             )
         if arms["retain-all"]["windows"] >= 2000 and rss_frac >= check_max_rss_frac:
             failures.append(
@@ -371,9 +348,8 @@ def run(num_ops, window, retain, saves, json_path, check, check_max_rss_frac,
                 print(f"CHECK FAILED: {failure}", file=out)
             return record, 1
         print(
-            f"CHECK OK: payloads byte-interchangeable across "
-            f"{len(raws)} backends, every delta smaller than a full payload "
-            f"and every journal resume exact, verdict digests identical, evict peak "
+            f"CHECK OK: every delta smaller than a full payload and every "
+            f"journal resume exact, verdict digests identical, evict peak "
             f"RSS {arms['evict']['peak_rss_kb'] / 1024:.1f} MB "
             f"({rss_frac:.2f}x retain-all)",
             file=out,
@@ -390,14 +366,15 @@ def main(argv=None):
         help="hot windows kept in memory by the evict arm",
     )
     parser.add_argument(
-        "--saves", type=int, default=50, help="checkpoint saves per backend"
+        "--saves", type=int, default=50, help="checkpoint saves timed"
     )
     parser.add_argument("--json", default=None, help="record results to this JSON path")
     parser.add_argument(
         "--check",
         action="store_true",
-        help="fail (exit 1) on non-interchangeable payloads, diverging "
-        "retention arms, or (at >= 2000 windows) unbounded evict-arm RSS",
+        help="fail (exit 1) on oversized deltas, inexact resumes, diverging "
+        "retention arms, a slow durable save, or (at >= 2000 windows) "
+        "unbounded evict-arm RSS",
     )
     parser.add_argument(
         "--check-max-rss-frac",
@@ -411,8 +388,8 @@ def main(argv=None):
         type=float,
         default=50.0,
         dest="check_max_save_ms",
-        help="ceiling on the default (json) backend's mean durable save "
-        "latency in milliseconds (default 50)",
+        help="ceiling on the mean durable save latency in milliseconds "
+        "(default 50)",
     )
     parser.add_argument("--arm", choices=("retain-all", "evict"), default=None,
                         help=argparse.SUPPRESS)

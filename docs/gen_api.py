@@ -49,10 +49,8 @@ SECTIONS = [
      ["StreamingEngine", "StreamSession"]),
     ("Tiered streams", "repro.engine.tiering",
      ["get_tier_policy", "TierPolicy", "TierStreamState"]),
-    ("Durable state stores", "repro.state",
-     ["StateStore", "open_state_store", "available_backends",
-      "write_file_atomic", "fsync_directory", "JsonFileStateStore",
-      "SqliteStateStore", "SegmentStateStore", "TimelineRetention"]),
+    ("Durable state store", "repro.state",
+     ["StateStore", "write_file_atomic", "fsync_directory", "TimelineRetention"]),
     ("Audit service", "repro.service.server",
      ["AuditServer"]),
     ("Audit sessions", "repro.service.session",

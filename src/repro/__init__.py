@@ -27,12 +27,10 @@ The library provides:
   backpressure, checkpoint/resume via the checkers'
   ``snapshot()``/``restore()`` state API, and a remote-verification client
   (``repro serve`` / ``repro verify --remote``),
-* **durable state stores** (:mod:`repro.state`): pluggable
-  ``(namespace, key) -> bytes`` backends — fsync-ed file-per-key, WAL-mode
-  SQLite, log-structured footer-indexed segments with segment-level
-  eviction — behind one interface, carrying session checkpoints, the
-  worker pool's failover journal and spilled window timelines
-  (``repro serve --state-backend``),
+* **durable state** (:mod:`repro.state`): one fsync-ed file-per-key
+  ``(namespace, key) -> bytes`` store carrying session checkpoints and
+  spilled window timelines (``repro serve --checkpoint-dir``,
+  ``repro watch --state-dir``),
 * **foreign-trace interop** (:mod:`repro.io`): Jepsen/Knossos event
   histories and Porcupine operation logs behind one format registry, so
   every entry point accepts ``--format jepsen|porcupine|jsonl|csv``

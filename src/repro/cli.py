@@ -273,10 +273,10 @@ def _cmd_watch(args: argparse.Namespace, out) -> int:
             print("error: --retain-windows needs --state-dir", file=out)
             return 2
         from .core.errors import StateError
-        from .state import open_state_store
+        from .state import StateStore
 
         try:
-            state_store = open_state_store(args.state_backend, args.state_dir)
+            state_store = StateStore(args.state_dir)
         except StateError as exc:
             print(f"error: {exc}", file=out)
             return 2
@@ -370,10 +370,8 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
             default_config=SessionConfig(
                 k=args.k,
                 algorithm=args.algorithm,
-                state_backend=args.state_backend,
                 tier=args.tier,
             ),
-            state_backend=args.state_backend,
             workers=args.workers,
             session_idle_timeout=args.idle_timeout,
             max_active_sessions=args.max_active,
@@ -738,14 +736,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--retain-windows)",
     )
     p_watch.add_argument(
-        "--state-backend",
-        dest="state_backend",
-        default="segments",
-        metavar="NAME",
-        help="state-store backend for --state-dir: json, sqlite or segments "
-        "(default segments)",
-    )
-    p_watch.add_argument(
         "--retain-windows",
         dest="retain_windows",
         type=_positive_int,
@@ -787,16 +777,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=None,
         help="checkpoint each session every N operations (needs --checkpoint-dir)",
-    )
-    p_serve.add_argument(
-        "--state-backend",
-        dest="state_backend",
-        default="json",
-        metavar="NAME",
-        help="durable state-store backend under --checkpoint-dir: json "
-        "(one fsync-ed file per session, the default), sqlite (one WAL "
-        "database) or segments (log-structured segment files); checkpoint "
-        "payloads are byte-identical across backends",
     )
     p_serve.add_argument(
         "--queue-size",

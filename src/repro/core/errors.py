@@ -62,16 +62,16 @@ class TraceFormatError(ReproError):
 
 
 class StateError(ReproError):
-    """A durable state-store operation failed (missing entry, backend I/O).
+    """A durable state-store operation failed (missing entry, I/O).
 
-    Raised by the pluggable :mod:`repro.state` backends; the checkpoint
-    layer re-wraps it in :class:`ServiceError` so the audit service's
-    in-band error contract is unchanged by the choice of backend.
+    Raised by :class:`repro.state.StateStore`; the checkpoint layer
+    re-wraps it in :class:`ServiceError` so the audit service answers
+    in-band.
     """
 
 
 class CorruptStateError(StateError):
-    """A stored blob or segment failed validation (torn write, bad checksum).
+    """A stored blob could not be read back.
 
     The durability contract of :class:`repro.state.StateStore` is that a
     reader never observes partial state: a value interrupted mid-write

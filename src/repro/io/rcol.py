@@ -53,7 +53,7 @@ import numpy as np
 
 from ..core.builder import TraceBuilder
 from ..core.errors import MalformedOperationError, TraceFormatError
-from ..state.base import fsync_directory
+from ..state.store import fsync_directory
 from ..core.history import History, MultiHistory
 from ..core.operation import Operation, OpType, trusted_operation
 from ..core import operation as _operation

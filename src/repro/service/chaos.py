@@ -143,6 +143,7 @@ class ChaosProxy:
         self._conn_tasks.add(task)
         self.connections += 1
         upstream_writer = None
+        pumps: List[asyncio.Task] = []
         try:
             _kind, (host, port) = parse_address(self.upstream)
             upstream_reader, upstream_writer = await asyncio.open_connection(
@@ -161,12 +162,16 @@ class ChaosProxy:
             # half-open proxied connections would mask the fault from the
             # side that still believes the stream is healthy.
             await done.wait()
+        except (ConnectionError, OSError, asyncio.CancelledError):
+            # stop() cancels relays.  The handler returns instead of
+            # re-raising: on Python 3.10 and 3.11 the done-callback that
+            # asyncio.start_server attaches logs a CancelledError traceback
+            # for every handler task that ends cancelled.
+            pass
+        finally:
             for pump in pumps:
                 pump.cancel()
             await asyncio.gather(*pumps, return_exceptions=True)
-        except (ConnectionError, OSError):
-            pass
-        finally:
             self._conn_tasks.discard(task)
             for writer in (client_writer, upstream_writer):
                 if writer is None:

@@ -25,15 +25,11 @@ reused the id, a crash between a fold and its deletes — are ignored.  A gap
 in the numbering, or a record that does not unpickle to a mapping, raises
 :class:`~repro.core.errors.CorruptCheckpointError`.
 
-Storage goes through the pluggable :mod:`repro.state` backends (``json`` —
-one fsync-ed file per record, the historical layout — ``sqlite`` or
-``segments``), selected by ``repro serve --state-backend``.  The
-interchange claim holds per record: every backend stores the *same pickled
-bytes* under the same key for each base and each delta, so a directory can
-be migrated by re-putting every record of both namespaces.  Writes are
-atomic and, by default, durable: each blob is flushed and fsync-ed before
-it becomes visible, and session identifiers are quoted/escaped by the
-backend so arbitrary client-chosen ids cannot escape the store directory.
+Storage is a :class:`~repro.state.StateStore`: one fsync-ed file per
+record, the historical layout.  Writes are atomic and, by default, durable:
+each blob is flushed and fsync-ed before it becomes visible, and session
+identifiers are quoted so arbitrary client-chosen ids cannot escape the
+store directory.
 """
 
 from __future__ import annotations
@@ -44,7 +40,7 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from ..core.errors import CorruptCheckpointError, ServiceError, StateError
-from ..state import DEFAULT_STATE_BACKEND, StateStore, open_state_store
+from ..state import StateStore
 
 __all__ = ["CheckpointStore", "SESSIONS_NAMESPACE", "JOURNAL_NAMESPACE"]
 
@@ -76,44 +72,42 @@ def _unpickle(session_id: str, blob: bytes, what: str) -> Dict:
 
 
 class CheckpointStore:
-    """Per-session checkpoint persistence over a :class:`StateStore` backend.
+    """Per-session checkpoint persistence over a :class:`StateStore`.
 
-    Construct with a directory and a backend name, or wrap an existing
-    store with ``CheckpointStore(store=...)``.
+    Construct with a directory, or wrap an existing store with
+    ``CheckpointStore(store=...)``.  ``backend`` accepts only ``"json"``,
+    the one store left; it stays because ``perfbench/serve.py`` still passes
+    it, and any other value raises :class:`ServiceError`.
     """
 
     def __init__(
         self,
         directory: Union[str, Path, None] = None,
         *,
-        backend: str = DEFAULT_STATE_BACKEND,
+        backend: str = "json",
         store: Optional[StateStore] = None,
     ):
+        if backend != "json":
+            raise ServiceError(
+                f"unknown state backend {backend!r}; only 'json' remains"
+            )
         if store is not None:
             self.store = store
             self._owns_store = False
         else:
             if directory is None:
                 raise ServiceError("CheckpointStore needs a directory or a store")
-            self.store = open_state_store(backend, directory)
+            self.store = StateStore(directory)
             self._owns_store = True
-        self.backend = self.store.backend
-        self.directory = Path(getattr(self.store, "directory", directory or "."))
+        self.directory = self.store.directory
         #: Session id -> (digest, checkpoint number) of the base this store
         #: last wrote for it: the key prefix of the deltas that extend it.
         self._heads: Dict[str, Tuple[str, int]] = {}
 
     # ------------------------------------------------------------------
     def path_for(self, session_id: str) -> Path:
-        """The file a session's base persists to (``json`` backend layout)."""
-        return self._path(SESSIONS_NAMESPACE, str(session_id))
-
-    def _path(self, namespace: str, key: str) -> Path:
-        if hasattr(self.store, "path_for"):
-            return self.store.path_for(namespace, key)
-        # Single-container backends have no per-record file; point at the
-        # container so error messages and tooling still name a real path.
-        return Path(getattr(self.store, "path", self.directory))
+        """The file a session's base persists to."""
+        return self.store.path_for(SESSIONS_NAMESPACE, str(session_id))
 
     def session_ids(self) -> List[str]:
         """Identifiers of every checkpointed session, sorted."""
@@ -160,7 +154,7 @@ class CheckpointStore:
                 )
             key = _SEP.join((session_id, head[0], f"{payload['checkpoints']:010d}"))
             self.store.put(JOURNAL_NAMESPACE, key, blob)
-            return self._path(JOURNAL_NAMESPACE, key)
+            return self.store.path_for(JOURNAL_NAMESPACE, key)
         except (StateError, pickle.PickleError, TypeError, ValueError, AttributeError) as exc:
             # pickle failures (unpicklable payload member) and I/O failures
             # alike must surface as ServiceError: the server's error handling
@@ -170,7 +164,7 @@ class CheckpointStore:
             ) from exc
 
     def raw(self, session_id: str) -> bytes:
-        """The stored base pickle bytes — what the interchange tests compare."""
+        """The stored base pickle bytes."""
         try:
             return self.store.get(SESSIONS_NAMESPACE, str(session_id))
         except StateError as exc:

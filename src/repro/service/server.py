@@ -66,7 +66,6 @@ from ..core.errors import (
     SessionIdleTimeout,
 )
 from ..io.formats import JsonlDecoder
-from ..state import available_backends
 from .checkpoint import CheckpointStore
 from .pool import PooledAuditSession, WorkerPool
 from .protocol import (
@@ -131,12 +130,6 @@ class AuditServer:
         Load-shedding bound: a ``hello`` arriving while this many sessions
         are already live is refused with a retryable ``overloaded`` error
         instead of degrading every existing stream.  ``None`` admits all.
-    state_backend:
-        Which :mod:`repro.state` backend persists checkpoints under
-        ``checkpoint_dir`` (``json``, ``sqlite`` or ``segments``); defaults
-        to ``default_config.state_backend``.  Checkpoint payloads are
-        byte-identical across backends, so a deployment can switch by
-        re-putting each session's blob.
     """
 
     def __init__(
@@ -153,7 +146,6 @@ class AuditServer:
         workers: Optional[int] = None,
         session_idle_timeout: Optional[float] = None,
         max_active_sessions: Optional[int] = None,
-        state_backend: Optional[str] = None,
     ):
         if port is None and unix_path is None:
             raise ServiceError("enable at least one endpoint (TCP port or unix path)")
@@ -169,21 +161,8 @@ class AuditServer:
         self.host = host
         self.port = port
         self.unix_path = str(unix_path) if unix_path is not None else None
-        #: Which repro.state backend persists checkpoints.
-        self.state_backend = (
-            state_backend
-            if state_backend is not None
-            else default_config.state_backend
-        )
-        if self.state_backend not in available_backends():
-            # Validate even without a checkpoint_dir — a typo'd backend must
-            # fail at construction, not serve silently without durability.
-            raise ServiceError(
-                f"unknown state backend {self.state_backend!r}; "
-                f"expected one of {', '.join(available_backends())}"
-            )
         self.store = (
-            CheckpointStore(checkpoint_dir, backend=self.state_backend)
+            CheckpointStore(checkpoint_dir)
             if checkpoint_dir is not None
             else None
         )
@@ -376,7 +355,11 @@ class AuditServer:
             if not self._draining:
                 session = await self._run_session(reader, writer)
         except asyncio.CancelledError:
-            raise
+            # Only stop() and drain() cancel a handler.  It returns instead
+            # of re-raising: on Python 3.10 and 3.11 the done-callback that
+            # asyncio.start_server attaches logs a CancelledError traceback
+            # for every handler task that ends cancelled.
+            pass
         except ConnectionError:
             pass  # client vanished; any checkpoint stays for resume
         finally:

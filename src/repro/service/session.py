@@ -35,7 +35,6 @@ from ..core.operation import Operation, OpType, ensure_op_ids_above
 from ..core.windows import WindowPolicy
 from ..engine.streaming import StreamingEngine, StreamSession
 from ..engine.tiering import TIER_NAMES
-from ..state import available_backends
 
 __all__ = ["SessionConfig", "AuditSession", "DEFAULT_SESSION_WINDOW", "FOLD_EVERY"]
 
@@ -117,11 +116,6 @@ class SessionConfig:
     window_mode: str = "count"
     window_size: float = DEFAULT_SESSION_WINDOW
     window_overlap: float = 0.0
-    #: Which :mod:`repro.state` backend the service persists this session
-    #: with.  Deliberately excluded from :meth:`to_dict`: the backend is an
-    #: operational choice, and keeping it out of the checkpoint payload is
-    #: what makes payloads byte-interchangeable across backends.
-    state_backend: str = "json"
     #: Adaptive tier policy (:data:`repro.engine.tiering.TIER_NAMES`).  The
     #: default ``"exact"`` keeps the pre-tiering behaviour — and is omitted
     #: from :meth:`to_dict` so default checkpoint payloads stay byte-identical
@@ -135,10 +129,7 @@ class SessionConfig:
         )
 
     def to_dict(self) -> Dict:
-        """JSON/pickle-friendly form (stored in checkpoints).
-
-        ``state_backend`` is intentionally absent — see the field comment.
-        """
+        """JSON/pickle-friendly form (stored in checkpoints)."""
         record: Dict = {
             "k": self.k,
             "algorithm": self.algorithm,
@@ -163,7 +154,6 @@ class SessionConfig:
                 window_mode=str(window.get("mode", "count")),
                 window_size=float(window.get("size", DEFAULT_SESSION_WINDOW)),
                 window_overlap=float(window.get("overlap", 0.0)),
-                state_backend=str(record.get("state_backend", "json")),
                 tier=str(record.get("tier", "exact")),
             )
         except (TypeError, ValueError) as exc:
@@ -174,11 +164,6 @@ class SessionConfig:
             raise ServiceError(str(exc)) from exc
         if config.k < 1:
             raise ServiceError(f"k must be a positive integer, got {config.k!r}")
-        if config.state_backend not in available_backends():
-            raise ServiceError(
-                f"unknown state backend {config.state_backend!r}; "
-                f"available: {', '.join(available_backends())}"
-            )
         if config.tier not in TIER_NAMES:
             raise ServiceError(
                 f"unknown tier {config.tier!r}; available: {', '.join(TIER_NAMES)}"

@@ -1,42 +1,18 @@
-"""Durable pluggable state stores for the audit service and streaming tier.
+"""Durable state for the audit service and streaming tier.
 
-See :mod:`repro.state.base` for the interface and durability contract.
-Importing this package registers all built-in backends:
-
-``json``
-    One file per key (temp file + fsync + rename); the behaviour-preserving
-    default, byte-compatible with pre-1.8 checkpoint directories.
-``sqlite``
-    One WAL-mode SQLite database per store directory.
-``segments``
-    Log-structured footer-indexed segment files with CRC-guarded records
-    and segment-level mmap eviction for bounded working sets.
+:class:`StateStore` is a one-file-per-key ``(namespace, key) -> bytes``
+store (temp file + fsync + rename), byte-compatible with pre-1.8
+checkpoint directories; see :mod:`repro.state.store` for the layout and
+the durability contract.  :class:`TimelineRetention` spills cold window
+reports of long streams into one.
 """
 
-from .base import (
-    DEFAULT_STATE_BACKEND,
-    STATE_BACKENDS,
-    StateStore,
-    available_backends,
-    fsync_directory,
-    open_state_store,
-    write_file_atomic,
-)
-from .jsonfile import JsonFileStateStore
 from .retention import TimelineRetention
-from .segments import SegmentStateStore
-from .sqlite import SqliteStateStore
+from .store import StateStore, fsync_directory, write_file_atomic
 
 __all__ = [
     "StateStore",
-    "STATE_BACKENDS",
-    "DEFAULT_STATE_BACKEND",
-    "available_backends",
-    "open_state_store",
     "fsync_directory",
     "write_file_atomic",
-    "JsonFileStateStore",
-    "SqliteStateStore",
-    "SegmentStateStore",
     "TimelineRetention",
 ]

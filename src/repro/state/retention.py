@@ -20,7 +20,7 @@ import pickle
 from collections import OrderedDict
 from typing import Any, Iterator, List, Optional
 
-from .base import StateStore
+from .store import StateStore
 
 __all__ = ["TimelineRetention"]
 

@@ -660,3 +660,38 @@ def test_retryable_taxonomy_is_typed_not_parsed():
     assert (token.session, token.ops, token.checkpoints, token.resumable) == (
         "s", 9, 2, True
     )
+
+
+def test_stop_with_live_connections_logs_no_loop_errors():
+    """``AuditServer.stop`` and ``ChaosProxy.stop`` end live handlers cleanly.
+
+    Both stop the handler tasks that ``asyncio.start_server`` created.  On
+    Python 3.10 and 3.11 the done-callback of such a task calls
+    ``task.exception()``, which logs "Exception in callback ...
+    CancelledError" through the loop's exception handler whenever the task
+    ended cancelled.
+    """
+    ops = practical_history(random.Random(TEST_SEED), 40).operations
+    errors = []
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        loop.set_exception_handler(lambda _loop, context: errors.append(context))
+        server = AuditServer(port=0)
+        await server.start()
+        proxy = ChaosProxy(server.addresses[0], FaultPlan(seed=TEST_SEED))
+        await proxy.start()
+        direct = await AuditClient.connect(server.addresses[0], session="direct", k=2)
+        relayed = await AuditClient.connect(proxy.address, session="relayed", k=2)
+        for client in (direct, relayed):
+            await client.feed_ops(ops)
+            await client.stats()  # a round trip: both handlers are streaming
+        await proxy.stop()
+        await server.stop()
+        for client in (direct, relayed):
+            await client.close()
+        for _ in range(5):
+            await asyncio.sleep(0)  # let the done-callbacks run
+
+    asyncio.run(scenario())
+    assert errors == [], [context.get("message") for context in errors]

@@ -24,13 +24,12 @@ from repro.algorithms.online import (
     checker_for,
     restore_checker,
 )
-from repro.core.errors import VerificationError
+from repro.core.errors import ServiceError, VerificationError
 from repro.core.history import History
 from repro.core.windows import WindowPolicy
 from repro.engine.streaming import StreamingEngine
 from repro.service.checkpoint import CheckpointStore
 from repro.service.session import AuditSession, SessionConfig
-from repro.state import available_backends
 from repro.workloads.adversarial import (
     concurrent_batch_history,
     non_2atomic_batch_history,
@@ -228,11 +227,10 @@ def test_checkpoint_store_quotes_session_ids(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Backend axis: every state backend carries checkpoints identically
+# Store round trip
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", available_backends())
-def test_checkpoint_round_trip_on_every_backend(tmp_path, backend):
-    store = CheckpointStore(tmp_path / backend, backend=backend)
+def test_checkpoint_round_trip(tmp_path):
+    store = CheckpointStore(tmp_path)
     session = AuditSession.start("audit/1", SessionConfig(k=2, window_size=4))
     ops = completion_order(concurrent_batch_history(2, 3))
     for op in ops[:5]:
@@ -256,30 +254,7 @@ def test_checkpoint_round_trip_on_every_backend(tmp_path, backend):
     store.close()
 
 
-def test_checkpoint_payloads_are_byte_interchangeable_across_backends(tmp_path):
-    """The stored blob is identical bytes no matter which backend holds it.
-
-    This is the migration guarantee: a deployment can switch
-    ``--state-backend`` and re-save sessions without any payload translation,
-    and the durability suite's expectations apply uniformly.
-    """
-    session = AuditSession.start("swap", SessionConfig(k=2, window_size=4))
-    ops = completion_order(concurrent_batch_history(2, 3))
-    for op in ops[:5]:
-        session.feed(op)
-    payload = session.checkpoint_payload()
-
-    raws = {}
-    for backend in available_backends():
-        store = CheckpointStore(tmp_path / backend, backend=backend)
-        store.save("swap", payload)
-        raws[backend] = store.raw("swap")
-        store.close()
-    assert len(set(raws.values())) == 1, (
-        "checkpoint bytes differ across backends: "
-        + ", ".join(f"{b}={len(blob)}B" for b, blob in raws.items())
-    )
-    # Any backend's bytes rehydrate to a working session.
-    for blob in raws.values():
-        resumed = AuditSession.resume(pickle.loads(blob))
-        assert resumed.resumed and resumed.ops_fed == 5
+def test_checkpoint_store_accepts_only_the_json_backend_name(tmp_path):
+    CheckpointStore(tmp_path, backend="json").close()
+    with pytest.raises(ServiceError, match="only 'json' remains"):
+        CheckpointStore(tmp_path, backend="segments")

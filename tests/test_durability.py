@@ -1,11 +1,10 @@
 """Crash-durability suite: torn writes, SIGKILL mid-checkpoint, fsync audit.
 
-The durability contract of the state tier (see :mod:`repro.state.base`) is
-*never partial state*: whatever byte a crash tears a write at, loading
+The durability contract of the state store (see :mod:`repro.state.store`)
+is *never partial state*: whatever byte a crash tears a write at, loading
 afterwards must either surface the complete prior state or raise a typed
 error — and a checkpoint written before the crash must resume to verdict
-parity with an uninterrupted run.  These tests enforce both, across every
-registered backend:
+parity with an uninterrupted run.  These tests enforce both:
 
 * **Torn-write sweep** — write checkpoint A, then B and two journal deltas
   extending B, fold everything to disk, and truncate each backing file at
@@ -17,8 +16,8 @@ registered backend:
   mid-run; the parent resumes from whatever checkpoint survived and must
   reach the exact verdicts of an uninterrupted run.
 * **fsync audit** — the checkpoint save path must fsync the blob *and* the
-  directory entry (the bug this PR fixes: ``os.replace`` alone is atomic
-  against process crashes but not against power loss).
+  directory entry (``os.replace`` alone is atomic against process crashes
+  but not against power loss).
 """
 
 from __future__ import annotations
@@ -40,37 +39,16 @@ import pytest
 from repro.core.errors import ReproError, ServiceError, StateError
 from repro.service.checkpoint import CheckpointStore
 from repro.service.session import AuditSession, SessionConfig
-from repro.state import available_backends, open_state_store
 
 from tests.conftest import TEST_SEED, make_random_history
 from tests.test_checkpoint import completion_order, result_signature
 
-BACKENDS = available_backends()
-
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def _store_options(backend):
-    """Small file geometries so every-byte truncation sweeps stay quick."""
-    if backend == "sqlite":
-        return {"page_size": 512}
-    if backend == "segments":
-        return {"max_segment_bytes": 4096}
-    return {}
-
-
-def _open_checkpoints(backend, directory):
-    store = open_state_store(backend, directory, **_store_options(backend))
-    return CheckpointStore(store=store)
-
-
 def _backing_files(directory: Path):
-    """Every file the store persisted (ignoring sqlite's empty sidecars)."""
-    return sorted(
-        p
-        for p in directory.rglob("*")
-        if p.is_file() and not p.name.endswith(("-wal", "-shm"))
-    )
+    """Every file the store persisted."""
+    return sorted(p for p in directory.rglob("*") if p.is_file())
 
 
 PAYLOAD_A = {"session_id": "torn", "stream": {"ops_fed": 3}, "blob": b"A" * 64}
@@ -85,20 +63,18 @@ DELTAS = [
 ]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_torn_write_at_every_byte_boundary(tmp_path, backend):
+def test_torn_write_at_every_byte_boundary(tmp_path):
     """Bases and journal deltas alike: a torn record never loads partially.
 
     A torn delta may cut the journal back to a prefix of whole deltas, or
     raise a typed error; it never yields a partial delta.
     """
     base = tmp_path / "base"
-    ckpt = _open_checkpoints(backend, base)
+    ckpt = CheckpointStore(base)
     ckpt.save("torn", PAYLOAD_A)
     ckpt.save("torn", PAYLOAD_B)
     for delta in DELTAS:
         ckpt.save("torn", delta)
-    ckpt.store.flush()
     ckpt.close()
     # Base B with each prefix of its journal, longest first.
     chains = [
@@ -115,15 +91,13 @@ def test_torn_write_at_every_byte_boundary(tmp_path, backend):
     for victim, pristine in originals.items():
         for cut in range(len(pristine) + 1):
             if scratch.exists():
-                # Full teardown: a stale sqlite -wal (or segment) left by the
-                # previous iteration would contaminate this one's recovery.
                 shutil.rmtree(scratch)
             for path, data in originals.items():
                 target = scratch / path.relative_to(base)
                 target.parent.mkdir(parents=True, exist_ok=True)
                 target.write_bytes(data if path != victim else data[:cut])
             try:
-                store = _open_checkpoints(backend, scratch)
+                store = CheckpointStore(scratch)
             except StateError:
                 outcomes["typed"] += 1
                 continue
@@ -146,7 +120,7 @@ def test_torn_write_at_every_byte_boundary(tmp_path, backend):
                 outcomes["A"] += 1
             else:  # pragma: no cover - the failure this suite exists for
                 pytest.fail(
-                    f"{backend}: truncating {victim.name} at byte {cut} "
+                    f"truncating {victim.name} at byte {cut} "
                     f"surfaced partial state: {loaded!r}"
                 )
     # The untruncated tail must load as B with its whole journal, and some
@@ -166,15 +140,11 @@ _CHILD_SCRIPT = textwrap.dedent(
     sys.path.insert(0, {root!r})
     from repro.service.checkpoint import CheckpointStore
     from repro.service.session import AuditSession, SessionConfig
-    from repro.state import open_state_store
     from tests.conftest import TEST_SEED, make_random_history
     from tests.test_checkpoint import completion_order
     import random
 
-    backend, directory = sys.argv[1], sys.argv[2]
-    options = {{"sqlite": {{"page_size": 512}},
-                "segments": {{"max_segment_bytes": 4096}}}}.get(backend, {{}})
-    store = CheckpointStore(store=open_state_store(backend, directory, **options))
+    store = CheckpointStore(sys.argv[1])
     history = make_random_history(random.Random(TEST_SEED + 77), 5, 8)
     ops = completion_order(history)
     session = AuditSession.start("kill/me", SessionConfig(k=2, window_size=3))
@@ -200,8 +170,7 @@ def _portable_signature(result):
     return sig[:3] + (reason,) + sig[4:]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_sigkill_mid_checkpoint_resumes_to_parity(tmp_path, backend):
+def test_sigkill_mid_checkpoint_resumes_to_parity(tmp_path):
     history = make_random_history(random.Random(TEST_SEED + 77), 5, 8)
     ops = completion_order(history)
 
@@ -218,7 +187,7 @@ def test_sigkill_mid_checkpoint_resumes_to_parity(tmp_path, backend):
     )
     store_dir = tmp_path / "store"
     child = subprocess.Popen(
-        [sys.executable, str(script), backend, str(store_dir)],
+        [sys.executable, str(script), str(store_dir)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
@@ -242,7 +211,7 @@ def test_sigkill_mid_checkpoint_resumes_to_parity(tmp_path, backend):
             child.kill()
             child.wait()
 
-    store = _open_checkpoints(backend, store_dir)
+    store = CheckpointStore(store_dir)
     try:
         assert "kill/me" in store, "no checkpoint survived the kill"
         payload = store.load("kill/me")
@@ -255,7 +224,7 @@ def test_sigkill_mid_checkpoint_resumes_to_parity(tmp_path, backend):
         resumed.feed(op)
     got = {key: _portable_signature(r) for key, r in resumed.finish().results.items()}
     assert got == expected, (
-        f"{backend}: resume after SIGKILL at op {done} diverged "
+        f"resume after SIGKILL at op {done} diverged "
         f"(seed {TEST_SEED:#x})"
     )
 
@@ -264,7 +233,7 @@ def test_sigkill_mid_checkpoint_resumes_to_parity(tmp_path, backend):
 # fsync audit
 # ----------------------------------------------------------------------
 def test_checkpoint_save_fsyncs_blob_and_directory(tmp_path, monkeypatch):
-    import repro.state.base as state_base
+    import repro.state.store as state_store
 
     synced_fds = []
     real_fsync = os.fsync
@@ -273,7 +242,7 @@ def test_checkpoint_save_fsyncs_blob_and_directory(tmp_path, monkeypatch):
         synced_fds.append(fd)
         real_fsync(fd)
 
-    monkeypatch.setattr(state_base.os, "fsync", spy)
+    monkeypatch.setattr(state_store.os, "fsync", spy)
     store = CheckpointStore(tmp_path)
     store.save("sid", {"session_id": "sid"})
     # One fsync for the temp file's contents, one for the directory entry
@@ -283,12 +252,12 @@ def test_checkpoint_save_fsyncs_blob_and_directory(tmp_path, monkeypatch):
 
 
 def test_checkpoint_save_durable_false_skips_fsync(tmp_path, monkeypatch):
-    import repro.state.base as state_base
-    from repro.state import JsonFileStateStore
+    import repro.state.store as state_store
+    from repro.state import StateStore
 
     calls = []
-    monkeypatch.setattr(state_base.os, "fsync", lambda fd: calls.append(fd))
-    store = JsonFileStateStore(tmp_path, durable=False)
+    monkeypatch.setattr(state_store.os, "fsync", lambda fd: calls.append(fd))
+    store = StateStore(tmp_path, durable=False)
     store.put("sessions", "sid", b"blob")
     assert calls == []
     assert store.get("sessions", "sid") == b"blob"

@@ -7,7 +7,7 @@ one full snapshots always had: a session resumed from whatever the store
 holds (base + journal) and fed the rest of the stream produces the same
 verdicts, NO reasons, window frames, alarmed registers and tiering counters
 as a run that was never interrupted — whichever placement (in-process or
-pooled) wrote the journal and whichever resumes it, on every backend.  The
+pooled) wrote the journal and whichever resumes it.  The
 store's own rules are pinned too: deltas of another base are ignored, a
 numbering gap and unreadable records raise a typed, non-retryable error.
 """
@@ -36,7 +36,7 @@ from repro.service.checkpoint import (
 )
 from repro.service.protocol import verdict_to_dict
 from repro.service.session import FOLD_EVERY, SessionConfig
-from repro.state import available_backends, open_state_store
+from repro.state import StateStore
 from repro.workloads.synthetic import synthetic_trace
 
 from tests.conftest import TEST_SEED
@@ -57,10 +57,9 @@ def journal_stream(offset, registers=3, ops=20):
     )
 
 
-def unsynced_store(directory, backend="json"):
+def unsynced_store(directory):
     """A checkpoint store without fsync (these tests save thousands of times)."""
-    options = {"durable": False} if backend == "json" else {}
-    return CheckpointStore(store=open_state_store(backend, directory, **options))
+    return CheckpointStore(store=StateStore(directory, durable=False))
 
 
 def log_window(session, report):
@@ -187,10 +186,9 @@ def test_delta_bytes_follow_the_ops_since_the_last_save(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Placements and backends
+# Placements
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", available_backends())
-def test_journal_resumes_across_placements_on_every_backend(tmp_path, backend):
+def test_journal_resumes_across_placements(tmp_path):
     stream = journal_stream(94)
     every = 2
     # Cut with a full journal, right after a fold, and mid-way through one.
@@ -206,51 +204,27 @@ def test_journal_resumes_across_placements_on_every_backend(tmp_path, backend):
                 assert reference["alarmed"]
                 for cut in cuts:
                     # pooled -> in-process
-                    store = unsynced_store(tmp_path / f"{tier}-{cut}-p", backend)
+                    store = unsynced_store(tmp_path / f"{tier}-{cut}-p")
                     pooled = PooledAuditSession.start("j", config, pool)
                     await run_pooled(pooled, stream[:cut], store, every)
                     await pooled.aclose()
                     resumed = AuditSession.resume(store.load("j"))
                     run_in_process(resumed, stream[resumed.ops_fed:])
                     got = outcome(resumed, resumed.finish())
-                    assert got == reference, f"{backend}/{tier}: pooled->in-process at {cut}"
+                    assert got == reference, f"{tier}: pooled->in-process at {cut}"
                     store.close()
                     # in-process -> pooled
-                    store = unsynced_store(tmp_path / f"{tier}-{cut}-i", backend)
+                    store = unsynced_store(tmp_path / f"{tier}-{cut}-i")
                     run_in_process(AuditSession.start("j", config), stream[:cut], store, every)
                     resumed = await PooledAuditSession.resume(store.load("j"), pool)
                     await run_pooled(resumed, stream[resumed.ops_fed:])
                     got = outcome(resumed, await resumed.afinish())
-                    assert got == reference, f"{backend}/{tier}: in-process->pooled at {cut}"
+                    assert got == reference, f"{tier}: in-process->pooled at {cut}"
                     store.close()
         finally:
             await pool.stop()
 
     asyncio.run(scenario())
-
-
-def test_journal_records_are_byte_interchangeable_across_backends(tmp_path):
-    """The interchange claim, per record: the base and every delta are the
-    same bytes under the same key on every backend."""
-    stream = journal_stream(98)
-    session = AuditSession.start("swap", SessionConfig(k=2, window_size=4))
-    payloads = []
-    for start in range(0, 16, 4):
-        run_in_process(session, stream[start:start + 4])
-        payloads.append(session.checkpoint_payload())
-        session.checkpoints += 1
-    assert [("base" in p) for p in payloads] == [False, True, True, True]
-    records = {}
-    for backend in available_backends():
-        store = unsynced_store(tmp_path / backend, backend)
-        for payload in payloads:
-            store.save("swap", payload)
-        records[backend] = (store.raw("swap"), _journal_records(store, "swap"))
-        resumed = AuditSession.resume(store.load("swap"))
-        assert resumed.ops_fed == 16 and resumed.checkpoints == 4
-        store.close()
-    assert len(records["json"][1]) == 3
-    assert all(value == records["json"] for value in records.values())
 
 
 def test_pooled_session_on_a_server_without_store_records_nothing():

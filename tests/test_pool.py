@@ -33,7 +33,6 @@ from repro.service import (
 from repro.service import pool as pool_module
 from repro.service.checkpoint import CheckpointStore
 from repro.service.session import SessionConfig
-from repro.state import available_backends
 
 from tests.conftest import TEST_SEED
 from tests.test_service import make_trace_ops, result_signature
@@ -552,17 +551,17 @@ def test_pool_rejects_bad_sizes():
 
 
 # ----------------------------------------------------------------------
-# State-backend axis: checkpoint interchange
+# Checkpoint interchange through the store
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", available_backends())
-def test_pooled_checkpoint_interchange_through_every_backend(tmp_path, backend):
-    """PR 7's pooled↔in-process interchange, routed through each backend."""
+def test_pooled_checkpoint_interchange_through_the_store(tmp_path):
+    """A pooled session's checkpoint, persisted and reloaded from disk,
+    finishes in-process with the reference verdicts."""
     _trace, stream = make_trace_ops(
         random.Random(TEST_SEED + 4), registers=5, ops=60, staleness=0.15
     )
     _ref_windows, ref_report = run_single_process(stream)
     half = len(stream) // 2
-    store = CheckpointStore(tmp_path / backend, backend=backend)
+    store = CheckpointStore(tmp_path)
 
     async def pooled_half():
         pool = WorkerPool(2)

@@ -1,32 +1,18 @@
-"""Contract tests for the pluggable state-store backends.
+"""Contract tests for the durable state store.
 
-Every backend must present the same ``(namespace, key) -> bytes`` behaviour
-— same round trips, same typed errors, same hostile-key safety — so the
-suite is parametrized over :func:`repro.state.available_backends` and any
-backend-specific assertions (WAL pragmas, segment rotation, eviction,
-compaction) live in their own tests below the shared block.
+Round trips, typed errors, hostile-key safety, the historical on-disk
+layout, the orphan sweep, the refusal of directories written by removed
+backends, and timeline retention on top of the store.
 """
 
 from __future__ import annotations
 
 import os
-import sqlite3
 
 import pytest
 
-from repro.core.errors import CorruptStateError, StateError
-from repro.state import (
-    DEFAULT_STATE_BACKEND,
-    JsonFileStateStore,
-    SegmentStateStore,
-    SqliteStateStore,
-    TimelineRetention,
-    available_backends,
-    open_state_store,
-    write_file_atomic,
-)
-
-BACKENDS = available_backends()
+from repro.core.errors import StateError
+from repro.state import StateStore, TimelineRetention, write_file_atomic
 
 HOSTILE_KEYS = [
     "../escape me/..",
@@ -41,12 +27,10 @@ HOSTILE_KEYS = [
 
 
 # ----------------------------------------------------------------------
-# Shared contract
+# Mapping contract
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_round_trip_and_overwrite(tmp_path, backend):
-    with open_state_store(backend, tmp_path) as store:
-        assert store.backend == backend
+def test_round_trip_and_overwrite(tmp_path):
+    with StateStore(tmp_path) as store:
         store.put("sessions", "s1", b"one")
         assert store.get("sessions", "s1") == b"one"
         store.put("sessions", "s1", b"two")
@@ -57,9 +41,8 @@ def test_round_trip_and_overwrite(tmp_path, backend):
         assert store.keys("empty-namespace") == []
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_namespaces_are_disjoint(tmp_path, backend):
-    with open_state_store(backend, tmp_path) as store:
+def test_namespaces_are_disjoint(tmp_path):
+    with StateStore(tmp_path) as store:
         store.put("sessions", "k", b"session blob")
         store.put("pool-snap", "k", b"snapshot blob")
         assert store.get("sessions", "k") == b"session blob"
@@ -69,56 +52,51 @@ def test_namespaces_are_disjoint(tmp_path, backend):
         assert not store.contains("pool-snap", "k")
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_missing_entry_raises_typed_error(tmp_path, backend):
-    with open_state_store(backend, tmp_path) as store:
+def test_missing_entry_raises_typed_error(tmp_path):
+    with StateStore(tmp_path) as store:
         with pytest.raises(StateError):
             store.get("sessions", "never-written")
         assert store.delete("sessions", "never-written") is False
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_survives_close_and_reopen(tmp_path, backend):
-    with open_state_store(backend, tmp_path) as store:
+def test_survives_close_and_reopen(tmp_path):
+    with StateStore(tmp_path) as store:
         store.put("sessions", "a", b"\x00\x01binary\xff")
         store.put("timeline", "w:0", b"x" * 4096)
         store.delete("sessions", "a")
         store.put("sessions", "b", b"kept")
-    with open_state_store(backend, tmp_path) as store:
+    with StateStore(tmp_path) as store:
         assert store.keys("sessions") == ["b"]
         assert store.get("sessions", "b") == b"kept"
         assert store.get("timeline", "w:0") == b"x" * 4096
         assert not store.contains("sessions", "a")
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("key", HOSTILE_KEYS)
-def test_hostile_keys_stay_inside_the_store(tmp_path, backend, key):
+def test_hostile_keys_stay_inside_the_store(tmp_path, key):
     store_dir = tmp_path / "store"
-    with open_state_store(backend, store_dir) as store:
+    with StateStore(store_dir) as store:
         store.put("sessions", key, b"payload")
         assert store.get("sessions", key) == b"payload"
         assert store.keys("sessions") == [key]
     # Nothing may be created outside the store directory.
     outside = [p for p in tmp_path.iterdir() if p.name != "store"]
     assert outside == []
-    with open_state_store(backend, store_dir) as store:
+    with StateStore(store_dir) as store:
         assert store.get("sessions", key) == b"payload"
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_same_bytes_across_backends(tmp_path, backend):
-    """All backends return exactly the bytes stored — interchangeability."""
+def test_random_bytes_survive_reopen(tmp_path):
+    """The store returns exactly the bytes stored, across a reopen."""
     blob = os.urandom(2048)
-    with open_state_store(backend, tmp_path / backend) as store:
+    with StateStore(tmp_path) as store:
         store.put("sessions", "sid", blob)
-    with open_state_store(backend, tmp_path / backend) as store:
+    with StateStore(tmp_path) as store:
         assert store.get("sessions", "sid") == blob
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_stats_counters(tmp_path, backend):
-    with open_state_store(backend, tmp_path) as store:
+def test_stats_counters(tmp_path):
+    with StateStore(tmp_path) as store:
         store.put("sessions", "a", b"12345")
         store.get("sessions", "a")
         stats = store.stats()
@@ -128,21 +106,11 @@ def test_stats_counters(tmp_path, backend):
         assert stats["bytes_read"] == 5
 
 
-def test_unknown_backend_raises():
-    with pytest.raises(StateError, match="unknown state-store backend"):
-        open_state_store("bogus", ".")
-
-
-def test_default_backend_registered():
-    assert DEFAULT_STATE_BACKEND in BACKENDS
-    assert set(BACKENDS) >= {"json", "sqlite", "segments"}
-
-
 # ----------------------------------------------------------------------
-# json backend specifics (historical layout + orphan sweep)
+# Layout, orphan sweep and removed backends
 # ----------------------------------------------------------------------
 def test_json_sessions_live_at_directory_root(tmp_path):
-    store = JsonFileStateStore(tmp_path)
+    store = StateStore(tmp_path)
     path = store.path_for("sessions", "sid one")
     assert path.parent == store.directory
     assert path.suffix == ".ckpt"
@@ -156,7 +124,7 @@ def test_json_orphan_tmp_sweep(tmp_path):
     sub = tmp_path / "timeline"
     sub.mkdir()
     (sub / "w0.blob.tmp").write_bytes(b"torn")
-    store = JsonFileStateStore(tmp_path)
+    store = StateStore(tmp_path)
     assert store.swept_tmp == 2
     assert not (tmp_path / "crashed%2Fsid.ckpt.tmp").exists()
     assert not (sub / "w0.blob.tmp").exists()
@@ -171,114 +139,14 @@ def test_write_file_atomic_cleans_up_tmp_on_failure(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-# ----------------------------------------------------------------------
-# sqlite backend specifics
-# ----------------------------------------------------------------------
-def test_sqlite_uses_wal_and_full_sync(tmp_path):
-    store = SqliteStateStore(tmp_path)
-    mode = store._conn.execute("PRAGMA journal_mode").fetchone()[0]
-    sync = store._conn.execute("PRAGMA synchronous").fetchone()[0]
-    assert mode.lower() == "wal"
-    assert int(sync) == 2  # FULL
-    store.close()
-    relaxed = SqliteStateStore(tmp_path, durable=False)
-    assert int(relaxed._conn.execute("PRAGMA synchronous").fetchone()[0]) == 1
-    relaxed.close()
-
-
-def test_sqlite_rejects_foreign_file(tmp_path):
-    (tmp_path / "state.db").write_bytes(b"this is not a database at all")
-    with pytest.raises(CorruptStateError):
-        store = SqliteStateStore(tmp_path)
-        try:
-            store.put("sessions", "k", b"v")
-        finally:
-            store.close()
-
-
-def test_sqlite_single_file_layout(tmp_path):
-    with SqliteStateStore(tmp_path) as store:
-        store.put("sessions", "a", b"1")
-        store.put("timeline", "b", b"2")
-        store.flush()
-    files = sorted(p.name for p in tmp_path.iterdir() if not p.name.startswith("state.db-"))
-    assert files == ["state.db"]
-    with sqlite3.connect(tmp_path / "state.db") as conn:
-        rows = conn.execute("SELECT namespace, key FROM kv ORDER BY 1, 2").fetchall()
-    assert rows == [("sessions", "a"), ("timeline", "b")]
-
-
-# ----------------------------------------------------------------------
-# segments backend specifics
-# ----------------------------------------------------------------------
-def test_segments_rotation_seals_footers(tmp_path):
-    store = SegmentStateStore(tmp_path, max_segment_bytes=4096)
-    for i in range(64):
-        store.put("ns", f"k{i}", bytes([i]) * 256)
-    segments = sorted(tmp_path.glob("seg-*.seg"))
-    assert len(segments) > 1
-    # Every non-active segment ends with the end magic (sealed footer).
-    from repro.state.segments import END_MAGIC
-
-    for path in segments[:-1]:
-        assert path.read_bytes().endswith(END_MAGIC)
-    store.close()
-    assert segments[-1].read_bytes().endswith(END_MAGIC)  # sealed on close
-    with SegmentStateStore(tmp_path) as reopened:
-        for i in range(64):
-            assert reopened.get("ns", f"k{i}") == bytes([i]) * 256
-
-
-def test_segments_eviction_bounds_open_mappings(tmp_path):
-    store = SegmentStateStore(tmp_path, max_segment_bytes=4096, cache_segments=2)
-    for i in range(128):
-        store.put("ns", f"k{i}", bytes([i]) * 200)
-    for i in range(128):
-        assert store.get("ns", f"k{i}") == bytes([i]) * 200
-    assert len(store._maps) <= 2
-    assert store.evictions > 0
-    # A second sweep transparently re-maps previously evicted segments.
-    remaps_before = store.remaps
-    assert store.get("ns", "k0") == b"\x00" * 200
-    assert store.remaps >= remaps_before
-    store.close()
-
-
-def test_segments_delete_and_tombstone_survive_reopen(tmp_path):
-    with SegmentStateStore(tmp_path, max_segment_bytes=2048) as store:
-        for i in range(32):
-            store.put("ns", f"k{i}", b"v" * 128)
-    # Delete keys whose records live in already-sealed segments.
-    with SegmentStateStore(tmp_path, max_segment_bytes=2048) as store:
-        assert store.delete("ns", "k0")
-        assert store.delete("ns", "k1")
-    with SegmentStateStore(tmp_path) as store:
-        assert not store.contains("ns", "k0")
-        assert not store.contains("ns", "k1")
-        assert store.contains("ns", "k2")
-
-
-def test_segments_compaction_reclaims_space(tmp_path):
-    store = SegmentStateStore(tmp_path, max_segment_bytes=2048)
-    for round_ in range(8):
-        for i in range(16):
-            store.put("ns", f"k{i}", bytes([round_]) * 128)
-    before = sum(p.stat().st_size for p in tmp_path.glob("seg-*.seg"))
-    reclaimed = store.compact()
-    after = sum(p.stat().st_size for p in tmp_path.glob("seg-*.seg"))
-    assert reclaimed > 0
-    assert after < before
-    for i in range(16):
-        assert store.get("ns", f"k{i}") == bytes([7]) * 128
-    store.close()
-    with SegmentStateStore(tmp_path) as reopened:
-        assert len(reopened.keys("ns")) == 16
-
-
-def test_segments_bad_magic_raises_typed_error(tmp_path):
-    (tmp_path / "seg-00000000.seg").write_bytes(b"NOTASEGM" + b"x" * 64)
-    with pytest.raises(CorruptStateError):
-        SegmentStateStore(tmp_path)
+@pytest.mark.parametrize(
+    "name, backend", [("state.db", "sqlite"), ("seg-00000000.seg", "segments")]
+)
+def test_directory_of_a_removed_backend_is_refused(tmp_path, name, backend):
+    """A store the removed backends wrote must not read as an empty one."""
+    (tmp_path / name).write_bytes(b"written by an earlier release")
+    with pytest.raises(StateError, match=f"{name}.*removed '{backend}'"):
+        StateStore(tmp_path)
 
 
 # ----------------------------------------------------------------------
@@ -293,9 +161,8 @@ def test_retention_unbounded_without_store():
     assert timeline.spills == 0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_retention_spills_and_reloads(tmp_path, backend):
-    with open_state_store(backend, tmp_path) as store:
+def test_retention_spills_and_reloads(tmp_path):
+    with StateStore(tmp_path) as store:
         timeline = TimelineRetention(store, keep=3, prefix="t")
         for i in range(12):
             timeline.append({"window": i})
@@ -313,7 +180,7 @@ def test_retention_spills_and_reloads(tmp_path, backend):
 
 
 def test_retention_two_streams_share_one_store(tmp_path):
-    with open_state_store("segments", tmp_path) as store:
+    with StateStore(tmp_path) as store:
         a = TimelineRetention(store, keep=2, prefix="a")
         b = TimelineRetention(store, keep=2, prefix="b")
         for i in range(6):
