@@ -28,6 +28,10 @@ The server runs as a **separate process** (spawned via ``repro serve``), so
 load generation never shares a Python interpreter — or a GIL — with the
 event loop being measured.
 
+Each configuration runs the fleet three times, each against a fresh server
+and taking turns with the other configurations, and reports the median
+run's throughput and the latency percentiles of all three.
+
 ``--check`` turns the run into a regression gate: parity must hold (always
 asserted), a 1-worker pool must keep at least ``--check-min-pool-ratio`` of
 the single-process throughput (the IPC overhead bound), and — **only when the
@@ -238,7 +242,13 @@ def check_parity(report, trace):
         )
 
 
-def bench_config(workers, fleet, window_size, *, parity=False):
+#: Fleet runs per arm; an arm's throughput is the median run's.  One run
+#: takes ~0.2 s, too short for a single sample to gate on.
+FLEET_RUNS = 3
+
+
+def fleet_run(workers, fleet, window_size, *, parity=False):
+    """One fleet run against a fresh server: ``(ops, elapsed_s, latencies)``."""
     server = ServerProcess(workers)
     try:
         witness_session = 0 if parity else None
@@ -252,13 +262,21 @@ def bench_config(workers, fleet, window_size, *, parity=False):
         server.stop()
     if parity:
         check_parity(reports[0], fleet[0][0])
-    total_ops = sum(report.ops for report in reports)
+    return sum(report.ops for report in reports), elapsed, latencies
+
+
+def bench_config(workers, fleet, runs):
+    """One arm from its fleet runs: the median run's throughput, and the
+    latency percentiles over every run's windows."""
+    ops, elapsed, _ = sorted(runs, key=lambda run: run[0] / run[1])[len(runs) // 2]
+    latencies = [sample for run in runs for sample in run[2]]
     return {
         "workers": workers,
         "sessions": len(fleet),
-        "ops": total_ops,
+        "ops": ops,
+        "runs": len(runs),
         "elapsed_s": round(elapsed, 4),
-        "ops_per_s": round(total_ops / elapsed, 1),
+        "ops_per_s": round(ops / elapsed, 1),
         "window_latency_p50_ms": round(percentile(latencies, 0.50), 3),
         "window_latency_p99_ms": round(percentile(latencies, 0.99), 3),
         "windows_sampled": len(latencies),
@@ -280,12 +298,17 @@ def run(sessions=8, registers=4, ops_per_register=150, window_size=32,
         file=out,
     )
 
+    # The arms take turns, so drift in the host's speed reaches each alike.
+    runs = {workers: [] for workers in worker_counts}
+    for _ in range(FLEET_RUNS):
+        for workers in worker_counts:
+            # Parity is checked on the largest pool: the config where placement
+            # and the parent/worker split matter most.
+            parity = workers == max(worker_counts)
+            runs[workers].append(fleet_run(workers, fleet, window_size, parity=parity))
     results = []
     for workers in worker_counts:
-        # Parity is checked on the largest pool: the config where placement
-        # and the parent/worker split matter most.
-        parity = workers == max(worker_counts)
-        results.append(bench_config(workers, fleet, window_size, parity=parity))
+        results.append(bench_config(workers, fleet, runs[workers]))
         label = "in-process" if workers == 0 else f"{workers} workers"
         print(f"  measured {label}: {results[-1]['ops_per_s']:,.0f} ops/s", file=out)
 

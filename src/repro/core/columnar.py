@@ -270,12 +270,16 @@ class ColumnarHistory:
             self._ops[index] = op
         return op
 
-    def operations(self, indices: Optional[Iterable[int]] = None) -> List[Operation]:
-        """Decode many operations (all of them when ``indices`` is omitted)."""
+    def operations(
+        self, indices: Optional[Iterable[int]] = None, times: Optional[Dict] = None
+    ) -> List[Operation]:
+        """Decode many operations (all of them when ``indices`` is omitted);
+        ``times`` moves operations as in :meth:`RowColumns.operations`."""
         if indices is None:
             indices = range(self.n)
         operation = self.operation
-        return [operation(i) for i in indices]
+        times = times or {}
+        return [operation(i).with_times(*times[i]) if i in times else operation(i) for i in indices]
 
     # ------------------------------------------------------------------
     # Column-level serialisation (the engine's compact shard codec)
@@ -412,8 +416,8 @@ class RowColumns:
     with ``op_ids`` holding record numbers within the range, and
     :meth:`concat` joins a register's pieces in file order.
     :meth:`to_columns` ships the rows in :meth:`ColumnarHistory.to_columns`
-    layout, and :meth:`operations` decodes rows — the host builds only
-    witness operations that way.
+    layout, and :meth:`operations` decodes rows — the host builds witness
+    operations that way, when a witness is read.
     """
 
     __slots__ = (
@@ -473,26 +477,36 @@ class RowColumns:
         rows.values = list(values)
         return rows
 
-    def operations(self, indices: Sequence[int]) -> List[Operation]:
-        """Decode the operations of the given rows, in that order."""
+    def operations(self, indices: Sequence[int], times: Optional[Dict] = None) -> List[Operation]:
+        """Decode the operations of the given rows, in that order.
 
-        def pick(column):
-            return map(column.__getitem__, indices)
-
-        return list(
+        Every row is decoded once, in file order, then picked (a witness order
+        covers the register).  ``times`` maps a row to the ``(start, finish)``
+        its operation takes instead of the row's own (normalised times).
+        """
+        start, finish = self.start, self.finish
+        if times:
+            start, finish = start[:], finish[:]
+            for row, (moved_start, moved_finish) in times.items():
+                start[row], finish[row] = moved_start, moved_finish
+        clients = repeat(None)
+        if self.clients:
+            # Client id -1 (no client) indexes the appended None.
+            clients = map((self.clients + [None]).__getitem__, self.client_id)
+        ops = list(
             map(
                 _row_operation,
-                map(_OP_TYPES.__getitem__, pick(self.is_write)),
-                map(self.values.__getitem__, pick(self.value_id)),
-                pick(self.start),
-                pick(self.finish),
+                map(_OP_TYPES.__getitem__, self.is_write),
+                map(self.values.__getitem__, self.value_id),
+                start,
+                finish,
                 repeat(self.key),
-                # Client id -1 (no client) indexes the appended None.
-                map((self.clients + [None]).__getitem__, pick(self.client_id)),
-                pick(self.op_ids),
-                pick(self.weights),
+                clients,
+                self.op_ids,
+                self.weights,
             )
         )
+        return list(map(ops.__getitem__, indices))
 
     def to_columns(self) -> Tuple:
         """The rows in :meth:`ColumnarHistory.to_columns` layout (file order)."""
@@ -575,8 +589,8 @@ def _row_operation(op_type, value, start, finish, key, client, op_id, weight) ->
 
     Filling the instance dict directly skips the frozen dataclass's
     ``__setattr__`` guard like ``object.__setattr__`` does, at half the cost;
-    a batch audit decodes every YES witness this way, tens of thousands of
-    operations per report.
+    reading every YES witness of a batch audit decodes tens of thousands of
+    operations this way.
     """
     op = _new_object(Operation)
     fields = op.__dict__

@@ -14,6 +14,7 @@ common idiom ``if verify_2atomic(h): ...`` works as expected.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -25,6 +26,25 @@ __all__ = ["VerificationResult", "StreamVerdict", "Verdict"]
 
 # Backwards-compatible alias used in a few call sites and examples.
 Verdict = bool
+
+#: Serialises first reads of deferred witnesses: racing readers get one tuple.
+_WITNESS_LOCK = threading.Lock()
+
+
+class _Witness:
+    """The ``witness`` field: a value in the instance dict shadows this
+    descriptor, which builds a deferred witness from its source once."""
+
+    def __get__(self, result, owner=None):
+        if result is None:
+            return None  # the field's default
+        fields = result.__dict__
+        with _WITNESS_LOCK:
+            if "witness" not in fields:
+                decode, args = fields["_witness_source"]
+                fields["witness"] = decode(*args)
+                del fields["_witness_source"]
+        return fields["witness"]
 
 
 @dataclass(frozen=True)
@@ -46,6 +66,9 @@ class VerificationResult:
         YES and the algorithm produces one (LBT and the exact oracle do; FZF
         produces per-chunk witnesses that are stitched together).  ``None``
         when the verdict is NO or the algorithm is purely decision-based.
+        A result built by :meth:`deferred` (every YES result the engine
+        decodes from a shard) builds its witness on the first read and
+        caches it; equality, ``repr`` and pickling read it like any field.
     reason:
         A human-readable explanation, primarily for NO verdicts (e.g. which
         chunk failed, or which zone condition was violated).
@@ -57,12 +80,16 @@ class VerificationResult:
     is_k_atomic: bool
     k: int
     algorithm: str
-    witness: Optional[Tuple[Operation, ...]] = None
+    witness: Optional[Tuple[Operation, ...]] = _Witness()
     reason: str = ""
     stats: dict = field(default_factory=dict)
 
     def __bool__(self) -> bool:
         return self.is_k_atomic
+
+    def __getstate__(self) -> dict:
+        witness = self.witness  # a deferred witness is built: its source stays here
+        return {**self.__dict__, "witness": witness}
 
     def require_witness(self) -> Tuple[Operation, ...]:
         """Return the witness order, raising if there is none."""
@@ -109,6 +136,14 @@ class VerificationResult:
             reason=reason,
             stats=dict(stats or {}),
         )
+
+    @staticmethod
+    def deferred(decode, args: tuple, **fields) -> "VerificationResult":
+        """A result whose witness is ``decode(*args)``, built on its first read."""
+        result = VerificationResult(**fields)
+        del result.__dict__["witness"]
+        result.__dict__["_witness_source"] = (decode, args)
+        return result
 
     @staticmethod
     def no(

@@ -56,7 +56,6 @@ __all__ = [
     "FZFOutcome",
     "fzf_verdict_np",
     "gk_result_np",
-    "fzf_result_np",
     "lbt_setup",
     "columnar_from_numpy",
     "ColumnarVerdict",
@@ -804,17 +803,6 @@ def _fzf_verdict(col) -> ColumnarVerdict:
         np.asarray(outcome.witness, dtype=np.int32),
         col,
     )
-
-
-def fzf_result_np(col, *, decode_witness: bool = True) -> VerificationResult:
-    """FZF verdict over an encoding (non-empty, not pre-normalised input).
-
-    With ``decode_witness=False`` the YES witness is left undecoded (``None``)
-    so multi-million-operation memmap-backed registers never materialise
-    Operation objects; verdict, reason and stats are unaffected.
-    """
-    verdict = _fzf_verdict(col)
-    return verdict.decoded() if decode_witness else verdict.result
 
 
 # ----------------------------------------------------------------------

@@ -22,9 +22,11 @@ row positions in the order the register was shipped, plus the normalised
 start and finish times of the rows that normalisation moved.  A fallback
 result whose witness the worker did decode (timestamp ties, LBT, the exact
 oracle, non-numpy kernels) is encoded the same way, by op id → position.
-The host keeps the columns it shipped and decodes only the witness
-operations from them (:func:`decode_shard_results`), with the moved times:
-about 4 bytes per witness operation instead of a pickled operation.
+The host keeps the columns it shipped (:func:`decode_shard_results`), and a
+YES result decodes its witness operations from them, with the moved times,
+only when its witness is first read: about 4 bytes per witness operation
+cross the boundary instead of a pickled operation, and an audit whose
+witnesses nobody reads builds no operation at all.
 """
 
 from __future__ import annotations
@@ -188,7 +190,9 @@ def decode_shard_results(
     ``columns`` maps every register key in the shard to the columns the task
     was encoded from — a :class:`~repro.core.columnar.RowColumns` or
     :class:`~repro.core.columnar.ColumnarHistory`, rows in the order they
-    were shipped; witness operations are decoded from its rows.
+    were shipped.  A YES result keeps its witness as those columns, the row
+    positions and the moved times, and decodes the operations on its first
+    read of :attr:`~repro.core.result.VerificationResult.witness`.
     """
     version, payload = pickle.loads(blob)
     if version != _RESULT_CODEC_VERSION:
@@ -198,50 +202,31 @@ def decode_shard_results(
         )
     results = []
     for key, ok, k, algorithm, reason, stats, witness in payload:
-        if witness is not None:
-            witness = _decode_witness(columns[key], *witness)
-        results.append(
-            (
-                key,
-                VerificationResult(
-                    is_k_atomic=ok,
-                    k=k,
-                    algorithm=algorithm,
-                    witness=witness,
-                    reason=reason,
-                    stats=stats,
-                ),
+        fields = dict(is_k_atomic=ok, k=k, algorithm=algorithm, reason=reason, stats=stats)
+        if witness is None:
+            result = VerificationResult(**fields)
+        else:
+            result = VerificationResult.deferred(
+                _decode_witness, (columns[key], *witness), **fields
             )
-        )
+        results.append((key, result))
     return results
 
 
 def _decode_witness(
     rows: Any, positions_b: bytes, moved: Optional[Tuple]
 ) -> Tuple[Operation, ...]:
+    """The witness operations, picked from ``rows`` with the moved times."""
     positions = array("i")
     positions.frombytes(positions_b)
-    ops = rows.operations(positions)
+    times = None
     if moved is not None:
         at, starts, finishes = array("i"), array("d"), array("d")
         at.frombytes(moved[0])
         starts.frombytes(moved[1])
         finishes.frombytes(moved[2])
         times = dict(zip(at, zip(starts, finishes)))
-        for n, i in enumerate(positions):
-            if i in times:
-                op = ops[n]
-                # The worker's normalisation kept finish > start.
-                ops[n] = trusted_operation(
-                    op.op_type,
-                    op.value,
-                    *times[i],
-                    key=op.key,
-                    client=op.client,
-                    op_id=op.op_id,
-                    weight=op.weight,
-                )
-    return tuple(ops)
+    return tuple(rows.operations(positions, times))
 
 
 # ----------------------------------------------------------------------

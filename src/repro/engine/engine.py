@@ -27,9 +27,9 @@ Pipeline (each stage pluggable):
    columns by :func:`repro.core.vector.columnar_verdict`.
 4. **Aggregation** — shard results stream back in completion order (column
    results with witnesses as row positions, decoded into operations from the
-   host's columns) and are merged into a
-   :class:`~repro.analysis.report.TraceVerificationReport`, optionally
-   short-circuiting on the first failing register.
+   host's columns on the first read of a result's witness) and are merged
+   into a :class:`~repro.analysis.report.TraceVerificationReport`,
+   optionally short-circuiting on the first failing register.
 
 Correctness rests on the paper's locality theorem (Section II-B): a
 multi-register trace is k-atomic iff every per-register projection is, so the
@@ -413,7 +413,8 @@ class Engine:
         every other row format from its operation stream on the host.  The
         host joins the ranges in file order, raises what loading the file
         would raise, and ships each shard's file-order columns to the verify
-        round; only witness operations are ever built.  Memory-mapped
+        round; only witness operations are ever built, each on the first read
+        of its result's witness.  Memory-mapped
         ``.rcol`` traces take the out-of-core route instead: shard tasks carry
         only the path and register keys, and workers map their registers'
         columns lazily.

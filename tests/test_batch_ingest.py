@@ -14,18 +14,27 @@ Two parity contracts pin the columnar batch path to the object readers:
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import pickle
 import random
 import re
+import sys
+import threading
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import operation as operation_module
-from repro.core.columnar import ColumnarHistory
+from repro.core.columnar import ColumnarHistory, RowColumns
 from repro.core.errors import DuplicateValueError, TraceFormatError
+from repro.core.history import History
 from repro.core.operation import ensure_op_ids_above
+from repro.core.result import VerificationResult
+from repro.core.vector import columnar_verdict
 from repro.engine import Engine
+from repro.engine.codec import decode_shard_results, encode_shard_results
 from repro.io.formats import (
     decode_jsonl_range,
     dump_csv,
@@ -278,6 +287,13 @@ def trace_files(tmp_path_factory):
     )
     files["stale"] = root / "stale.jsonl"
     _dump_shuffled(trace, files["stale"])
+    # YES and NO at k=2, with witnesses whose times normalisation moved.
+    files["mixed"] = root / "mixed.jsonl"
+    mixed = synthetic_trace(random.Random(11), 6, 140, staleness_probability=0.02, max_staleness=2)
+    _dump_shuffled(
+        [op for t in (mixed, in_flight_read_trace()) for key in t.keys() for op in t[key].operations],
+        files["mixed"],
+    )
     files["in-flight"] = root / "in-flight.jsonl"
     _dump_shuffled(in_flight_read_trace(), files["in-flight"])
     # Coarse clock: timestamp ties send registers down the exact fallback.
@@ -364,3 +380,142 @@ def test_row_formats_take_the_same_columns(tmp_path, executor):
             got = Engine(executor=executor, jobs=2).verify_file(path, k, fmt=fmt)
             want = Engine().verify_trace(load_trace(path, fmt), k)
             assert _fields(got) == _fields(want), (path, k)
+
+
+# ----------------------------------------------------------------------
+# Deferred witnesses: a decoded YES result builds its witness on first read
+# ----------------------------------------------------------------------
+def _counting_operations(monkeypatch, delay_s=0.0):
+    """Patch ``RowColumns.operations`` to record each call's register key."""
+    calls = []
+    original = RowColumns.operations
+
+    def operations(self, *args, **kwargs):
+        calls.append(self.key)
+        time.sleep(delay_s)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(RowColumns, "operations", operations)
+    return calls
+
+
+@pytest.mark.parametrize("executor", ["serial", "processes"])
+def test_verify_file_builds_no_witness_until_read(trace_files, executor, monkeypatch):
+    calls = _counting_operations(monkeypatch)
+    path = trace_files["mixed"]
+    report = Engine(executor=executor, jobs=2).verify_file(path, 2)
+    report.render()
+    assert any(report.results.values()) and not all(report.results.values())
+    assert calls == []
+    got = _fields(report)  # reads every witness
+    with_witness = [key for key, r in report.results.items() if r.witness is not None]
+    assert with_witness and sorted(calls) == sorted(with_witness)
+    assert got == _fields(Engine().verify_trace(load_trace(path), 2))
+    assert len(calls) == len(with_witness)  # a second read builds nothing
+
+
+def _shard(path):
+    """The host's file-order columns of ``path`` and one shard's encoded
+    results for them, as a process-executor verify round returns them."""
+    ranges = [decode_jsonl_range(path, a, b) for a, b in split_jsonl(path, 3)]
+    registers = merge_ranges(path, ranges)
+    verdicts = []
+    for key, rows in registers.items():
+        col = ColumnarHistory.from_columns(rows.to_columns())
+        verdicts.append((key, col, columnar_verdict(col, 2)))
+    return registers, encode_shard_results(verdicts)
+
+
+@pytest.fixture(scope="module")
+def shard(trace_files):
+    registers, payload = _shard(trace_files["mixed"])
+    moved = [witness[1] for *_, witness in pickle.loads(payload)[1] if witness is not None]
+    assert moved and any(m is not None for m in moved)  # moved times are applied
+    return registers, payload
+
+
+def _deferred(shard):
+    """Freshly decoded results: no witness has been read yet."""
+    registers, payload = shard
+    return dict(decode_shard_results(payload, registers))
+
+
+def _eager(shard):
+    """The same results with every witness built at decode time."""
+    return {
+        key: VerificationResult(
+            is_k_atomic=r.is_k_atomic,
+            k=r.k,
+            algorithm=r.algorithm,
+            witness=r.witness,
+            reason=r.reason,
+            stats=r.stats,
+        )
+        for key, r in _deferred(shard).items()
+    }
+
+
+def test_deferred_result_reads_like_the_eager_one(shard):
+    registers, _ = shard
+    eager = _eager(shard)
+    assert any(r.witness is not None for r in eager.values())
+    names = [f.name for f in dataclasses.fields(VerificationResult)]
+    assert names == ["is_k_atomic", "k", "algorithm", "witness", "reason", "stats"]
+    for key, want in eager.items():
+        rows = registers[key]
+        history = History(rows.operations(range(len(rows))), key=key)
+        checks = [
+            result_fields,
+            repr,
+            lambda r: result_fields(dataclasses.replace(r, reason="x")),
+            lambda r: r.check_witness(history),
+        ]
+        if want:
+            checks.append(lambda r: [(op.op_id, op.start, op.finish) for op in r.require_witness()])
+        for check in checks:  # each on a result whose witness is still unread
+            assert check(_deferred(shard)[key]) == check(want), key
+        assert _deferred(shard)[key] == want and want == _deferred(shard)[key], key
+        assert _deferred(shard)[key].check_witness(history) == bool(want), key
+
+
+def test_pickled_deferred_result_carries_its_witness_not_the_columns(shard):
+    eager = _eager(shard)
+    for key, result in _deferred(shard).items():
+        blob = pickle.dumps(result)
+        assert b"RowColumns" not in blob, key
+        restored = pickle.loads(blob)
+        assert result_fields(restored) == result_fields(eager[key]), key
+        assert restored == eager[key] == result, key
+        assert "_witness_source" not in vars(result), key  # the columns are let go
+
+
+def test_second_read_returns_the_same_tuple(shard):
+    for key, result in _deferred(shard).items():
+        assert result.witness is result.witness, key
+
+
+def test_racing_first_reads_share_one_witness(shard, monkeypatch):
+    calls = _counting_operations(monkeypatch, delay_s=0.05)
+    result = next(r for r in _deferred(shard).values() if r)
+    readers = 8  # more threads than cores
+    barrier = threading.Barrier(readers)
+    seen = []
+
+    def read():
+        barrier.wait(timeout=10)
+        seen.append(result.witness)
+
+    threads = [threading.Thread(target=read) for _ in range(readers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(seen) == readers and seen[0] is not None
+    assert all(witness is seen[0] for witness in seen)
+    assert len(calls) == 1

@@ -16,6 +16,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.core.columnar import columnar_of
 from repro.core.errors import MalformedOperationError, TraceFormatError
 from repro.core.history import History, MultiHistory
 from repro.core.operation import read, write
@@ -221,6 +222,19 @@ class TestLazyLoading:
         assert bool(res) and res.witness is None
         assert bool(dec) and dec.witness is not None
         assert col.to_history().is_k_atomic_total_order(dec.witness, 2)
+
+    def test_witness_outlives_the_mapping(self, tmp_path):
+        # verify_columnar decodes a YES witness before it returns: the
+        # columns may be memory-mapped, and RcolFile.close() may unmap them
+        # before a deferred read.
+        history = normalize(practical_history(random.Random(2), 60, key="u"))
+        path = tmp_path / "u.rcol"
+        dump_rcol(history, path)
+        with RcolFile(path) as rf:
+            got = verify_columnar(rf.load_columnar("u"), 2, preprocess=False)
+        want = verify_columnar(columnar_of(history), 2, preprocess=False)
+        assert bool(got) and want.witness is not None
+        assert list(map(op_payload, got.witness)) == list(map(op_payload, want.witness))
 
     def test_register_sizes_match_footer(self, tmp_path):
         trace = sample_trace()

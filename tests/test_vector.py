@@ -189,7 +189,7 @@ class TestChainOrderCheck:
         for history in self.stale_histories():
             col = columnar.columnar_of(history)
             exercised += chain_chunks(col).size
-            got = vector.fzf_result_np(col)
+            got = vector.verify_columnar(col, 2, algorithm="fzf", preprocess=False)
             want = verify(history, 2, algorithm="fzf", preprocess=False,
                           kernel="object")
             assert result_fields(got) == result_fields(want), history.key
@@ -208,7 +208,7 @@ class TestChainOrderCheck:
         )
         col = columnar.columnar_of(history)
         assert chain_chunks(col).size > 0
-        got = vector.fzf_result_np(col)
+        got = vector.verify_columnar(col, 2, algorithm="fzf", preprocess=False)
         want = verify(history, 2, algorithm="fzf", preprocess=False,
                       kernel="object")
         assert result_fields(got) == result_fields(want)
