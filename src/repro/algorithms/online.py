@@ -110,8 +110,11 @@ class Checker(ABC):
         result = checker.finish()           # == batch verdict on the stream
 
     ``feed`` returns a verdict only when the checker actually (re)checked on
-    that operation; ``check_now`` forces a verdict at any point (the streaming
-    engine calls it at window boundaries); neither carries a witness.
+    that operation; ``check_now`` forces a verdict at any point; neither
+    carries a witness.  The streaming engine follows the same lifecycle per
+    register: it feeds each operation the moment it arrives, and at each
+    window close calls ``check_now`` (or ``peek``) once on every register
+    the window touched.
     ``reset`` returns the checker to its initial state for reuse.
     """
 

@@ -239,7 +239,13 @@ class TraceVerificationReport:
 
 @dataclass(frozen=True)
 class WindowStats:
-    """Size and timing of one stream window processed by the streaming engine."""
+    """Size and timing of one stream window processed by the streaming engine.
+
+    ``elapsed_s`` times the window's close step.  In rolling mode that is
+    the checks and the report only: operations reach their checkers as they
+    arrive, before the close, and that feed is not counted.  In windowed
+    mode it is the window's whole batch verification.
+    """
 
     index: int
     num_ops: int
@@ -250,7 +256,7 @@ class WindowStats:
 
     @property
     def ops_per_second(self) -> float:
-        """Verification throughput of the window (ops / wall-clock second)."""
+        """Fresh ops per second of the close step (``num_ops / elapsed_s``)."""
         return self.num_ops / self.elapsed_s if self.elapsed_s > 0 else 0.0
 
 

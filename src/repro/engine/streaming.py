@@ -28,9 +28,10 @@ Two modes:
 
 Both modes demultiplex the stream per register (k-atomicity is local,
 Section II-B).  Rolling mode feeds each register's checker in this process,
-because checker state persists across windows; windowed mode runs each window
-through the batch engine on the configured executor, ``processes`` included,
-since each window is a self-contained batch job.
+because checker state persists across windows, and feeds it each operation
+as it arrives, so a window close pays only its checks; windowed mode runs
+each window through the batch engine on the configured executor,
+``processes`` included, since each window is a self-contained batch job.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from ..core.builder import TraceBuilder
 from ..core.errors import VerificationError
 from ..core.operation import Operation
 from ..core.result import StreamVerdict, VerificationResult
-from ..core.windows import Window, WindowAssembler, WindowPolicy
+from ..core.windows import Window, WindowAssembler, WindowPolicy, iter_windows
 from ..analysis.report import StreamVerificationReport, WindowReport, WindowStats
 from ..state.retention import TimelineRetention
 from .engine import Engine
@@ -257,51 +258,37 @@ class StreamingEngine:
         ``on_window`` is invoked with every :class:`WindowReport` the moment
         its window closes — this is the live-consumption hook the ``repro
         watch`` command prints from.  The returned report carries the full
-        timeline plus the end-of-stream per-register verdicts.
+        timeline plus the end-of-stream per-register verdicts.  Rolling mode
+        runs one :class:`StreamSession` over the stream.
         """
+        if self.mode == "rolling":
+            session = self.open_session(k)
+            for op in ops:
+                report = session.feed(op)
+                if report is not None and on_window is not None:
+                    on_window(report)
+            closed = session.num_windows
+            final = session.finish()
+            if on_window is not None and final.num_windows > closed:
+                on_window(final.timeline[-1])  # the tail window finish() closed
+            return final
         if k < 1:
             raise VerificationError(f"k must be a positive integer, got {k!r}")
         t0 = time.perf_counter()
         timeline = self._new_timeline()
-        checkers: Dict[Hashable, Checker] = {}
         carries: Dict[Hashable, _RegisterCarry] = {}
         latched: Dict[Hashable, VerificationResult] = {}
         key_order: List[Hashable] = []
-        tier_state = (
-            TierStreamState(self.tier, k)
-            if self.tier is not None and self.mode == "rolling"
-            else None
-        )
-
-        def handle(window: Window) -> None:
-            if self.mode == "rolling":
-                report = self._run_rolling_window(
-                    window, k, checkers, key_order, tier_state=tier_state
-                )
-            else:
-                report = self._run_windowed_window(window, k, carries, latched, key_order)
+        for window in iter_windows(ops, self.window):
+            report = self._run_windowed_window(window, k, carries, latched, key_order)
             timeline.append(report)
             if on_window is not None:
                 on_window(report)
-
-        assembler = WindowAssembler(self.window)
-        for op in ops:
-            window = assembler.feed(op)
-            if window is not None:
-                handle(window)
-        tail = assembler.flush()
-        if tail is not None:
-            handle(tail)
-
-        if self.mode == "rolling":
-            results = {key: checkers[key].finish() for key in key_order}
-        else:
-            results = self._finalize_windowed(k, carries, latched, key_order, len(timeline))
         return StreamVerificationReport(
             k=k,
             mode=self.mode,
             window=self.window.describe(),
-            results=results,
+            results=self._finalize_windowed(k, carries, latched, key_order, len(timeline)),
             timeline=tuple(timeline),
             executor=self.executor.name,
             jobs=self.jobs,
@@ -365,59 +352,6 @@ class StreamingEngine:
             check_interval=self.check_interval,
             cadence_growth=self.cadence_growth,
             max_exact_ops=self.max_exact_ops,
-        )
-
-    def _run_rolling_window(
-        self,
-        window: Window,
-        k: int,
-        checkers: Dict[Hashable, Checker],
-        key_order: List[Hashable],
-        tier_state: Optional[TierStreamState] = None,
-    ) -> WindowReport:
-        t0 = time.perf_counter()
-        by_key: Dict[Hashable, List[Operation]] = {}
-        for op in window.fresh_ops:
-            by_key.setdefault(op.key, []).append(op)
-        verdicts: Dict[Hashable, StreamVerdict] = {}
-        tiers: Dict[Hashable, str] = {}
-        escalations: Dict[Hashable, Tuple[str, ...]] = {}
-        for key, register_ops in by_key.items():
-            checker = checkers.get(key)
-            if checker is None:
-                checker = checkers[key] = self._make_checker(k)
-                key_order.append(key)
-            for op in register_ops:
-                checker.feed(op)
-            if tier_state is None:
-                verdicts[key] = (
-                    checker.check_now() if self.check_per_window else checker.peek()
-                )
-                continue
-            # Tiered: the O(1) peek is the screen; the tier state decides
-            # whether this (register, window) is NO-capable and must pay the
-            # authoritative check.  A latched alarm in the peek counts too.
-            quick = checker.peek()
-            mode, triggers = tier_state.decide(
-                key, register_ops, alarmed=not quick.result.is_k_atomic
-            )
-            verdict = verdicts[key] = checker.check_now() if mode == "check" else quick
-            tier_state.note_verdict(key, verdict.result.is_k_atomic)
-            tiers[key] = mode
-            if triggers:
-                escalations[key] = triggers
-        return WindowReport(
-            stats=WindowStats(
-                index=window.index,
-                num_ops=window.num_fresh,
-                num_registers=len(by_key),
-                t_low=window.t_low,
-                t_high=window.t_high,
-                elapsed_s=time.perf_counter() - t0,
-            ),
-            verdicts=verdicts,
-            tiers=tiers,
-            escalations=escalations,
         )
 
     # ------------------------------------------------------------------
@@ -521,29 +455,34 @@ class StreamingEngine:
 class StreamSession:
     """One push-driven, checkpointable rolling-mode audit stream.
 
-    Obtained from :meth:`StreamingEngine.open_session`.  The caller feeds
-    operations one at a time; every window the feed closes comes back as a
-    :class:`~repro.analysis.report.WindowReport`, and :meth:`finish` returns
-    the same :class:`~repro.analysis.report.StreamVerificationReport` a
-    :meth:`StreamingEngine.verify_stream` call over the identical stream
-    would have produced.
+    Obtained from :meth:`StreamingEngine.open_session` (and run by
+    :meth:`StreamingEngine.verify_stream` over an iterable).  The caller
+    feeds operations one at a time; every window the feed closes comes back
+    as a :class:`~repro.analysis.report.WindowReport`.  Each operation
+    reaches its register's checker as it arrives, so a close pays only one
+    ``check_now`` (or tier ``peek``) per register it touched.  A count
+    window's last operation is fed before its close; the operation crossing
+    a time boundary opens the next window and is fed after it.
 
     :meth:`snapshot` captures everything the stream position depends on —
     the open window's buffer, each register's checker state (cadence
-    position, monitor indexes, latched verdicts), the closed-window timeline
-    — as one picklable mapping, and :meth:`restore` rehydrates it, so a
-    session checkpointed at operation *i* and resumed in a fresh process
-    emits, for the remaining operations, the *identical* verdict sequence an
-    uninterrupted session would have: the state is saved verbatim, never
-    approximated by replay.
+    position, monitor indexes, latched verdicts, the open window's
+    operations), the closed-window timeline — as one picklable mapping, and
+    :meth:`restore` rehydrates it, so a session checkpointed at operation
+    *i* and resumed in a fresh process emits, for the remaining operations,
+    the *identical* verdict sequence an uninterrupted session would have:
+    the state is saved verbatim, never approximated by replay.
     """
 
     def __init__(self, engine: StreamingEngine, k: int):
         self.engine = engine
         self.k = k
         self._assembler = WindowAssembler(engine.window)
+        self._close_first = engine.window.mode == "time"
+        #: One checker per register, in arrival order; the first
+        #: ``_closed_registers`` of them have reached a closed window.
         self._checkers: Dict[Hashable, Checker] = {}
-        self._key_order: List[Hashable] = []
+        self._closed_registers = 0
         self._tier_state = (
             TierStreamState(engine.tier, k) if engine.tier is not None else None
         )
@@ -567,7 +506,7 @@ class StreamSession:
     @property
     def num_registers(self) -> int:
         """Registers that have reached a closed window."""
-        return len(self._checkers)
+        return self._closed_registers
 
     @property
     def timeline(self) -> Tuple[WindowReport, ...]:
@@ -589,8 +528,14 @@ class StreamSession:
         self._ops_fed += 1
         window = self._assembler.feed(op)
         if window is None:
+            self._admit(op)
             return None
-        return self._handle(window)
+        if self._close_first:  # the op opens the next time window
+            report = self._close(window)
+            self._admit(op)
+            return report
+        self._admit(op)
+        return self._close(window)
 
     def finish(self) -> StreamVerificationReport:
         """Seal the stream and return the full report (batch-equal verdicts)."""
@@ -598,14 +543,13 @@ class StreamSession:
             raise VerificationError("session already finished")
         tail = self._assembler.flush()
         if tail is not None:
-            self._handle(tail)
+            self._close(tail)
         self._finished = True
-        results = {key: self._checkers[key].finish() for key in self._key_order}
         return StreamVerificationReport(
             k=self.k,
             mode=self.engine.mode,
             window=self.engine.window.describe(),
-            results=results,
+            results={key: checker.finish() for key, checker in self._checkers.items()},
             timeline=tuple(self._timeline),
             executor=self.engine.executor.name,
             jobs=self.engine.jobs,
@@ -628,8 +572,11 @@ class StreamSession:
             ),
             "assembler": self._assembler.snapshot(),
             "checkers": [
-                (key, self._checkers[key].snapshot()) for key in self._key_order
+                (key, checker.snapshot()) for key, checker in self._checkers.items()
             ],
+            # Also marks the checkers as holding the open window's fresh
+            # operations; snapshots without it predate feeding on arrival.
+            "closed_registers": self._closed_registers,
             "timeline": list(self._timeline),
             "ops_fed": self._ops_fed,
             "elapsed_s": self._elapsed(),
@@ -644,7 +591,11 @@ class StreamSession:
         }
 
     def restore(self, state: dict) -> None:
-        """Rehydrate the state captured by :meth:`snapshot`."""
+        """Rehydrate the state captured by :meth:`snapshot`.
+
+        A snapshot without ``closed_registers`` predates feeding on arrival:
+        its open window's fresh operations are fed to the checkers here.
+        """
         if state["k"] != self.k:
             raise VerificationError(
                 f"snapshot verifies k={state['k']}; this session is for k={self.k}"
@@ -655,11 +606,9 @@ class StreamSession:
                 f"is configured with {self.engine.algorithm!r}"
             )
         self._assembler.restore(state["assembler"])
-        self._checkers = {}
-        self._key_order = []
-        for key, checker_state in state["checkers"]:
-            self._checkers[key] = restore_checker(checker_state)
-            self._key_order.append(key)
+        self._checkers = {
+            key: restore_checker(checker_state) for key, checker_state in state["checkers"]
+        }
         if self.engine.tier is not None:
             # A pre-tiering snapshot simply restarts the escalation state —
             # conservative (extra authoritative checks), never unsound.
@@ -674,20 +623,69 @@ class StreamSession:
         self._elapsed_prior = state["elapsed_s"]
         self._t0 = time.perf_counter()
         self._finished = state["finished"]
-        # The open window's buffered operations have not reached any checker
-        # yet, so their (foreign) op_ids are guarded here rather than by
-        # Checker.restore.
+        # Buffered ops carry another process's op_ids, and in an older
+        # snapshot no restored checker holds (and so guards) the fresh ones.
         from ..core.operation import ensure_op_ids_above
 
-        ensure_op_ids_above(
-            max((op.op_id for op in state["assembler"]["buffer"]), default=-1)
-        )
+        buffer = state["assembler"]["buffer"]
+        ensure_op_ids_above(max((op.op_id for op in buffer), default=-1))
+        if "closed_registers" in state:
+            self._closed_registers = state["closed_registers"]
+        else:
+            self._closed_registers = len(self._checkers)
+            for op in buffer[state["assembler"]["carried"]:]:
+                self._admit(op)
 
     # ------------------------------------------------------------------
-    def _handle(self, window: Window) -> WindowReport:
-        report = self.engine._run_rolling_window(
-            window, self.k, self._checkers, self._key_order,
-            tier_state=self._tier_state,
+    def _admit(self, op: Operation) -> None:
+        """Feed one arriving operation to its register's checker."""
+        checker = self._checkers.get(op.key)
+        if checker is None:
+            checker = self._checkers[op.key] = self.engine._make_checker(self.k)
+        checker.feed(op)
+
+    def _close(self, window: Window) -> WindowReport:
+        """Check every register the window's fresh operations touched."""
+        t0 = time.perf_counter()
+        by_key: Dict[Hashable, List[Operation]] = {}
+        for op in window.fresh_ops:
+            by_key.setdefault(op.key, []).append(op)
+        tier_state = self._tier_state
+        verdicts: Dict[Hashable, StreamVerdict] = {}
+        tiers: Dict[Hashable, str] = {}
+        escalations: Dict[Hashable, Tuple[str, ...]] = {}
+        for key, register_ops in by_key.items():
+            checker = self._checkers[key]
+            if tier_state is None:
+                verdicts[key] = (
+                    checker.check_now() if self.engine.check_per_window else checker.peek()
+                )
+                continue
+            # Tiered: the O(1) peek is the screen; the tier state decides
+            # whether this (register, window) is NO-capable and must pay the
+            # authoritative check.  A latched alarm in the peek counts too.
+            quick = checker.peek()
+            mode, triggers = tier_state.decide(
+                key, register_ops, alarmed=not quick.result.is_k_atomic
+            )
+            verdict = verdicts[key] = checker.check_now() if mode == "check" else quick
+            tier_state.note_verdict(key, verdict.result.is_k_atomic)
+            tiers[key] = mode
+            if triggers:
+                escalations[key] = triggers
+        self._closed_registers = len(self._checkers)
+        report = WindowReport(
+            stats=WindowStats(
+                index=window.index,
+                num_ops=window.num_fresh,
+                num_registers=len(by_key),
+                t_low=window.t_low,
+                t_high=window.t_high,
+                elapsed_s=time.perf_counter() - t0,
+            ),
+            verdicts=verdicts,
+            tiers=tiers,
+            escalations=escalations,
         )
         self._timeline.append(report)
         return report

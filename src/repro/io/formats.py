@@ -279,13 +279,15 @@ class JsonlDecoder:
 
         decoder = JsonlDecoder(source="client-7")
         for chunk in transport_chunks:
-            for op in decoder.feed(chunk):
+            for op in decoder.iter_feed(chunk):
                 session.feed(op)
         decoder.flush()  # a final record without a trailing newline
 
     Error behaviour matches :func:`iter_jsonl_handle`: malformed JSON and
     malformed records raise :class:`~repro.core.errors.TraceFormatError`
-    tagged with ``source`` and the line number.
+    tagged with ``source`` and the line number.  :meth:`iter_feed` raises
+    it after yielding the items before the malformed line; :meth:`feed`,
+    which returns a list, loses them.
 
     With ``mixed=True`` the stream may interleave *control frames* with
     operation records: a JSON object carrying a ``"type"`` field (and no
@@ -327,6 +329,16 @@ class JsonlDecoder:
 
     def feed(self, data: Union[str, bytes]) -> List[Operation]:
         """Decode one chunk; returns the operations its complete lines held."""
+        return list(self.iter_feed(data))
+
+    def iter_feed(self, data: Union[str, bytes]) -> Iterator:
+        """Decode one chunk, yielding each complete line's item in order.
+
+        A malformed line raises only after every item before it has been
+        yielded, so what a consumer takes from a stream before the error
+        does not depend on how the transport cut it into chunks.  The chunk
+        is buffered when iteration starts, so iterate every call to its end.
+        """
         if isinstance(data, bytes):
             try:
                 data = self._utf8.decode(data)
@@ -338,17 +350,15 @@ class JsonlDecoder:
                 ) from exc
         self._buffer += data
         if "\n" not in self._buffer:
-            return []
+            return
         lines = self._buffer.split("\n")
         self._buffer = lines.pop()
-        decoded = []
         for line in lines:
             # Physical line numbering (blank lines included), matching what
             # iter_jsonl_handle reports for the same byte stream.
             self._line_number += 1
             if line.strip():
-                decoded.append(self._decode(line))
-        return decoded
+                yield self._decode(line)
 
     def flush(self) -> List[Operation]:
         """Decode a trailing record that never received its newline."""

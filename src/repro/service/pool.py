@@ -630,7 +630,9 @@ class PooledStreamSession:
         buffered = state["assembler"]["buffer"]
         self.ops_fed = state["ops_fed"]
         self.num_windows = len(state["timeline"])
-        self._registers = {key for key, _checker in state["checkers"]}
+        checkers = state["checkers"]
+        closed = state.get("closed_registers", len(checkers))
+        self._registers = {key for key, _checker in checkers[:closed]}
         self.finished = state["finished"]
         self._rebase(state)
         await self.pool.request(self.home, "restore", [self._restore_entry()])

@@ -456,7 +456,9 @@ class AuditServer:
                             await queue.put(tail)
                         await queue.put(_EOF)
                         return
-                    for item in decoder.feed(chunk):
+                    # Items before a malformed line are queued ahead of its
+                    # error, however the bytes were chunked.
+                    for item in decoder.iter_feed(chunk):
                         await queue.put(item)
                     if decoder.pending_bytes > MAX_FRAME_BYTES:
                         # A record with no newline in sight: without this cap

@@ -35,6 +35,7 @@ from repro.service.checkpoint import CheckpointStore
 from repro.service.session import SessionConfig
 
 from tests.conftest import TEST_SEED
+from tests.test_legacy_snapshots import cut_mid_window, stream_ops
 from tests.test_service import make_trace_ops, result_signature
 
 CONFIG = SessionConfig(k=2, algorithm="lbt", window_mode="count", window_size=16)
@@ -582,3 +583,33 @@ def test_pooled_checkpoint_interchange_through_the_store(tmp_path):
         resumed.feed(op)
     assert_report_parity(ref_report, resumed.finish())
     store.close()
+
+
+def test_num_registers_counts_closed_windows_alike_in_process_and_pooled():
+    """Mid-window, no session counts a register only the open window holds."""
+    ops = stream_ops(29)  # registers r0-r2 from the start, r3 joins late
+    config = SessionConfig(k=2, window_size=8)
+    local = AuditSession.start("n1", config)
+    cut = cut_mid_window(local, ops, "r3")
+    assert local.stats().num_registers == 3
+
+    async def scenario():
+        pool = WorkerPool(1)
+        await pool.start()
+        try:
+            pooled = PooledAuditSession.start("n2", config, pool)
+            for op in ops[:cut]:
+                await pooled.afeed(op)
+            counts = [pooled.stats().num_registers]
+            payload = await pooled.acheckpoint_payload()
+            for source in (payload, local.checkpoint_payload()):
+                resumed = await PooledAuditSession.resume(source, pool)
+                counts.append(resumed.stats().num_registers)
+                counts.append(AuditSession.resume(source).stats().num_registers)
+                await resumed.aclose()
+            await pooled.aclose()
+            return counts
+        finally:
+            await pool.stop()
+
+    assert asyncio.run(scenario()) == [3] * 5

@@ -13,6 +13,7 @@ from __future__ import annotations
 import asyncio
 import json
 import random
+import re
 
 import pytest
 
@@ -331,3 +332,64 @@ def test_random_garbage_connections_never_wedge_the_server():
             await server.stop()
 
     assert asyncio.run(scenario())
+
+
+def test_decoder_yields_the_items_before_a_malformed_line():
+    data = trace_bytes(3) + b'{"op_type": "wri\n' + trace_bytes(2)
+    decoder = JsonlDecoder(source="wire")
+    got = []
+    with pytest.raises(TraceFormatError, match="wire:4"):
+        for op in decoder.iter_feed(data):
+            got.append(op)
+    assert len(got) == 3
+
+
+async def raw_session_frames(port: int, hello: bytes, chunks):
+    """Send ``chunks`` after the handshake; return every frame until EOF."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        writer.write(hello)
+        await writer.drain()
+        frames = [json.loads(await asyncio.wait_for(reader.readline(), 5.0))]
+        for chunk in chunks:
+            writer.write(chunk)
+            await writer.drain()
+            await asyncio.sleep(0.01)  # let the server read each write alone
+        while True:
+            line = await asyncio.wait_for(reader.readline(), 5.0)
+            if not line:
+                return frames
+            frames.append(json.loads(line))
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except ConnectionError:
+            pass
+
+
+def test_ops_before_a_malformed_line_are_fed_however_the_bytes_arrive():
+    lines = trace_bytes(8).splitlines(keepends=True) + [b'{"op_type": "write", "val\n']
+    hello = encode_frame({"type": "hello", "session": "cut", "k": 2,
+                          "window": {"mode": "count", "size": 4}})
+
+    async def scenario(chunks):
+        server = AuditServer(port=0)
+        await server.start()
+        try:
+            frames = await raw_session_frames(server.tcp_port, hello, chunks)
+            (stats,) = server.service_report().sessions
+            return frames, (stats.num_ops, stats.num_windows)
+        finally:
+            await server.stop()
+
+    runs = [asyncio.run(scenario(chunks)) for chunks in ([b"".join(lines)], lines)]
+    for frames, _stats in runs:
+        # The error names the peer's address, which differs per connection.
+        frames[-1]["error"] = re.sub(r"session@\(.*?\)", "session@peer", frames[-1]["error"])
+    (frames, stats), per_line = runs
+    assert per_line == (frames, stats)
+    assert [f["type"] for f in frames] == ["welcome", "window", "window", "error"]
+    assert [f["index"] for f in frames[1:3]] == [0, 1]
+    assert frames[-1]["error"].startswith("session@peer:9: invalid JSON")
+    assert stats == (8, 2)

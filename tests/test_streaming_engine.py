@@ -5,7 +5,9 @@ import random
 import pytest
 
 from repro.analysis.report import StreamVerificationReport, TraceVerificationReport
-from repro.core.errors import VerificationError
+from repro.core.api import verify
+from repro.core.errors import DuplicateValueError, VerificationError
+from repro.core.history import History
 from repro.core.operation import read, write
 from repro.core.windows import WindowPolicy
 from repro.engine import Engine, StreamingEngine
@@ -235,3 +237,72 @@ class TestWindowedMode:
             if result:
                 assert result.algorithm == "windowed"
                 assert "approximation" in result.reason
+
+
+class TestArrivalFeed:
+    """Checkers take each operation as it arrives; windows only pay checks."""
+
+    def test_time_boundary_op_opens_the_next_window(self):
+        # r(a) crosses the boundary at 11, so it belongs to window 1: window
+        # 0 must be checked before r(a) reaches the checker.
+        ops = [write("a", 0, 1, key="x"), write("b", 2, 3, key="x"),
+               read("a", 12, 13, key="x")]
+        report = StreamingEngine(window=WindowPolicy.time(10.0)).verify_stream(ops, 1)
+        first, second = (w.verdicts["x"] for w in report.timeline)
+        assert (bool(first), first.ops_seen) == (True, 2)
+        assert (bool(second), second.ops_seen) == (False, 3)
+        # A count window's last op belongs to it: checked with that op.
+        report = StreamingEngine(window=WindowPolicy.count(3)).verify_stream(ops, 1)
+        (only,) = (w.verdicts["x"] for w in report.timeline)
+        assert (bool(only), only.ops_seen) == (False, 3)
+
+    def test_duplicate_write_raises_at_the_offending_op(self):
+        session = StreamingEngine(window=WindowPolicy.count(8)).open_session(2)
+        session.feed(write("a", 0, 1, key="x"))
+        with pytest.raises(DuplicateValueError):
+            session.feed(write("a", 2, 3, key="x"))
+
+    @pytest.mark.parametrize("policy", [
+        WindowPolicy.count(5), WindowPolicy.count(5, overlap=2),
+        WindowPolicy.time(3.0), WindowPolicy.time(3.0, overlap=1.0),
+    ], ids=lambda p: p.describe())
+    @pytest.mark.parametrize("tier", ["exact", "screen", "auto"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_window_verdicts_match_verify_stream_and_batch_prefixes(self, policy, tier, k):
+        trace = synthetic_trace(
+            random.Random(11 * k), 3, 12, staleness_probability=0.3, max_staleness=2
+        )
+        ops = trace_stream(trace)
+        engine = StreamingEngine(window=policy, tier=tier)
+        session = engine.open_session(k)
+        reports, fed = [], []
+        for op in ops:
+            if policy.mode == "count":
+                fed.append(op)  # a count window closes on its own last op
+            report = session.feed(op)
+            if report is not None:
+                reports.append((report, list(fed)))
+            if policy.mode == "time":
+                fed.append(op)  # a time window closes on the next window's first op
+        final = session.finish()
+        if len(final.timeline) > len(reports):
+            reports.append((final.timeline[-1], fed))
+
+        streamed = []
+        reference = engine.verify_stream(ops, k, on_window=streamed.append)
+        assert len(streamed) == len(reports) == reference.num_windows
+        for (report, _), other in zip(reports, streamed):
+            assert report.stats.num_registers == other.stats.num_registers
+            assert report.tiers == other.tiers
+            assert {key: (bool(v), v.ops_seen, v.final) for key, v in report.verdicts.items()} \
+                == {key: (bool(v), v.ops_seen, v.final) for key, v in other.verdicts.items()}
+        assert {key: bool(r) for key, r in final.results.items()} \
+            == {key: bool(r) for key, r in reference.results.items()}
+        for report, prefix in reports:
+            for key, verdict in report.verdicts.items():
+                if report.tiers.get(key, "check") != "check":
+                    continue  # a screened window's verdict is the last check's
+                register = [op for op in prefix if op.key == key]
+                batch = verify(History(register), k)
+                assert (bool(verdict), verdict.ops_seen) == (bool(batch), len(register)), (
+                    report.stats.index, key)
